@@ -15,7 +15,6 @@ import numpy as np
 __all__ = [
     "ZERO_PROB_THRESHOLD",
     "EIGENVALUE_CLAMP",
-    "EigensolverError",
     "pauli",
     "bell_ket",
     "ghz_ket",
@@ -45,10 +44,6 @@ ZERO_PROB_THRESHOLD = 1e-14
 # Eigenvalues in [-EIGENVALUE_CLAMP, 0) are treated as round-off drift of a
 # positive-semidefinite matrix and clamped to zero.
 EIGENVALUE_CLAMP = 1e-9
-
-
-class EigensolverError(RuntimeError):
-    """Jacobi iteration failed to reach its off-diagonal tolerance."""
 
 
 _SIGMA = np.array(
@@ -258,76 +253,21 @@ def measure(rho, proj, subset):
     return prob, post
 
 
-def hermitian_eigensystem(matrix, tol=1e-14, max_sweeps=100):
-    """Eigenvalues and eigenvectors of a Hermitian matrix by cyclic Jacobi
-    rotations.
-
-    Each pivot applies the exact 2x2 unitary that diagonalizes the
-    corresponding principal block, so the off-diagonal mass shrinks
-    quadratically.  Returns (values ascending, column eigenvectors).
-    Raises EigensolverError if `max_sweeps` sweeps do not converge.
-    """
-    a = np.array(matrix, dtype=complex)
+def hermitian_eigensystem(matrix):
+    """Eigenvalues (ascending) and column eigenvectors of the Hermitian part
+    of a square matrix, by LAPACK (numpy.linalg.eigh)."""
+    a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    a = 0.5 * (a + a.conj().T)
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex)
-    scale = max(float(np.max(np.abs(a))), 1e-300)
-    for _ in range(max_sweeps):
-        # sum only off-diagonal entries: subtracting diagonal mass from the
-        # total would round away anything below sqrt(eps) * scale
-        strict = a - np.diag(np.diag(a))
-        off = float(np.linalg.norm(strict))
-        if off <= tol * scale:
-            w = np.diag(a).real.copy()
-            order = np.argsort(w, kind="stable")
-            return w[order], v[:, order]
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                ab = abs(apq)
-                if ab == 0.0:
-                    continue
-                phase = apq / ab
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * ab)
-                # tangent root of t^2 - 2 tau t - 1 = 0 with |t| <= 1: keeps
-                # the rotation angle within pi/4, which the cyclic sweep
-                # needs to converge (the other root acts as a near-swap and
-                # can shuffle the diagonal forever)
-                if tau >= 0.0:
-                    t = -1.0 / (tau + np.hypot(1.0, tau))
-                else:
-                    t = 1.0 / (-tau + np.hypot(1.0, tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                u0 = c * phase
-                u1 = t * c  # real
-                # unitary columns (u0, u1) and (-u1, conj(u0))
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = col_p * u0 + col_q * u1
-                a[:, q] = -col_p * u1 + col_q * np.conj(u0)
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = np.conj(u0) * row_p + u1 * row_q
-                a[q, :] = -u1 * row_p + u0 * row_q
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = vp * u0 + vq * u1
-                v[:, q] = -vp * u1 + vq * np.conj(u0)
-    raise EigensolverError(
-        f"Jacobi did not converge in {max_sweeps} sweeps (off-diagonal {off:.3e})"
-    )
-
-
-def _clamped_nonnegative(w, what):
-    if float(w.min()) < -EIGENVALUE_CLAMP:
-        raise ValueError(f"{what} has eigenvalue {float(w.min())} < -{EIGENVALUE_CLAMP}")
-    return np.clip(w, 0.0, None)
+    return np.linalg.eigh(0.5 * (a + a.conj().T))
 
 
 def sqrtm_psd(matrix):
     """Hermitian square root of a positive-semidefinite matrix."""
     w, v = hermitian_eigensystem(matrix)
-    w = _clamped_nonnegative(w, "matrix")
-    return (v * np.sqrt(w)) @ v.conj().T
+    if float(w.min()) < -EIGENVALUE_CLAMP:
+        raise ValueError(f"matrix has eigenvalue {float(w.min())} < -{EIGENVALUE_CLAMP}")
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
 
 
 def spin_flip_lambdas(rho):
@@ -336,21 +276,16 @@ def spin_flip_lambdas(rho):
 
     These are the eigenvalue square roots of rho (sigma_y x sigma_y)
     rho* (sigma_y x sigma_y), computed as the singular values of
-    K = sqrt(rho_flipped) sqrt(rho) through the Hermitian dilation
-    [[0, K], [K^H, 0]] (eigenvalues +-sigma_i).  Working on K instead of
-    K^H K keeps roots near zero at full absolute precision; squaring first
-    would bury anything below sqrt(machine epsilon) in roundoff.
+    K = sqrt(rho_flipped) sqrt(rho).  Working on K instead of K^H K keeps
+    roots near zero at full absolute precision; squaring first would bury
+    anything below sqrt(machine epsilon) in roundoff.
     """
     rho = np.asarray(rho, dtype=complex)
     validate_density(rho, dim=4)
     yy = np.kron(_SIGMA[2], _SIGMA[2])
     flipped = yy @ rho.conj() @ yy
     k = sqrtm_psd(flipped) @ sqrtm_psd(rho)
-    dil = np.zeros((8, 8), dtype=complex)
-    dil[:4, 4:] = k
-    dil[4:, :4] = k.conj().T
-    w, _ = hermitian_eigensystem(dil)
-    return np.clip(w[:3:-1], 0.0, None)
+    return np.linalg.svd(k, compute_uv=False)
 
 
 def wootters_concurrence(rho):

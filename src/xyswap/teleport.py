@@ -29,7 +29,7 @@ import numpy as np
 
 from . import qcore
 from .swapnet import swap_all
-from .xychain import scaled_hyperbolics
+from .xychain import ground_region, scaled_hyperbolics
 
 __all__ = [
     "TeleportConfig",
@@ -41,9 +41,6 @@ __all__ = [
     "fidelity_closed_form",
     "evaluate",
 ]
-
-_CASE_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class TeleportConfig:
@@ -165,23 +162,10 @@ def correction_for(i, j, k):
     return int(_correction_table("B")[i, j, k - 1])
 
 
-def _gather_corrected(vals, table):
-    idx = np.broadcast_to(table[None, None], (1,) + vals.shape[1:])
-    return np.take_along_axis(vals, idx, axis=0)[0]
-
-
 def fidelity_simulated(params, cfg=None):
     """Input-averaged corrected fidelity from the full swap + measurement
     pipeline at the given chain parameters."""
-    cfg = cfg if cfg is not None else TeleportConfig()
-    swap = swap_all(params)
-    kept = [i for i in range(8) if swap.post_states[i] is not None]
-    resources = np.stack([swap.post_states[i] for i in kept])
-    probs = swap.probabilities[kept]
-    _, vals, wts = _branch_data(resources, cfg.mu, cfg.measure_qubit)
-    table = _correction_table(cfg.measure_qubit)[kept]
-    corrected = _gather_corrected(vals, table)
-    return float(np.einsum("n,m,nmjk->", wts, probs, corrected))
+    return evaluate(params, cfg).phi_simulated
 
 
 def fidelity_closed_form(params, cfg=None):
@@ -189,26 +173,26 @@ def fidelity_closed_form(params, cfg=None):
     c1 + c2 cos(mu) sin(mu).
 
     Evaluated on |J|, |gamma|, |eta| (sign flips are local unitaries).  At
-    T = 0 the coefficients take their limiting values per region of
-    eta^2 + gamma^2 against 1.
+    T = 0, and wherever beta * max(B, |J|) overflows, the coefficients take
+    their limiting values per `ground_region`.
     """
     cfg = cfg if cfg is not None else TeleportConfig()
     g = abs(params.gamma)
     j = abs(params.J)
-    s = params.eta**2 + params.gamma**2
-    if params.T == 0.0:
-        if j == 0.0:
+    h = scaled_hyperbolics(params.beta, params.b_script, j)
+    if h is None:
+        region, s = ground_region(params)
+        if region == "free":
             c1, c2 = 0.5, 0.0
-        elif abs(s - 1.0) <= _CASE_TOL:
+        elif region == "boundary":
             c1 = 0.5
             c2 = (1.0 + g + g**2 + g**3) / 12.0
-        elif s < 1.0:
+        elif region == "exchange":
             c1, c2 = 2.0 / 3.0, 2.0 / 3.0
         else:
             r = g / math.sqrt(s)
             c1, c2 = 2.0 / 3.0, (2.0 / 3.0) * r**3
     else:
-        h = scaled_hyperbolics(params.beta, params.b_script, j)
         den = h.ch_b + h.ch_j
         c1 = 2.0 * (h.ch_b**2 + h.ch_b * h.ch_j + h.ch_j**2) / (3.0 * den**2)
         r = g * j / params.b_script if params.b_script > 0.0 else 0.0
@@ -237,29 +221,17 @@ def evaluate(params, cfg=None):
     probs = swap.probabilities[kept]
     q, vals, wts = _branch_data(resources, cfg.mu, cfg.measure_qubit)
     full_table = _correction_table(cfg.measure_qubit)
-    corrected = _gather_corrected(vals, full_table[kept])
+    corrected = np.take_along_axis(vals, full_table[kept][None, None], axis=0)[0]
     phi_sim = float(np.einsum("n,m,nmjk->", wts, probs, corrected))
-    q_mean = np.einsum("n,nmjk->mjk", wts, q)
-    weights = {}
-    for i in range(8):
-        for j in range(4):
-            for k in (1, 2):
-                if i in kept:
-                    m = kept.index(i)
-                    weights[(i, j, k)] = float(probs[m] * q_mean[m, j, k - 1])
-                else:
-                    weights[(i, j, k)] = 0.0
-    table_map = {
-        (i, j, k): int(full_table[i, j, k - 1])
-        for i in range(8)
-        for j in range(4)
-        for k in (1, 2)
-    }
+    # zero rows for the outcomes the swap never produces
+    weight = np.zeros((8, 4, 2))
+    weight[kept] = probs[:, None, None] * np.einsum("n,nmjk->mjk", wts, q)
+    branches = [(i, j, k) for i in range(8) for j in range(4) for k in (1, 2)]
     return TeleportResult(
         c1=closed.c1,
         c2=closed.c2,
         phi_closed=closed.phi_closed,
         phi_simulated=phi_sim,
-        correction_table=table_map,
-        per_outcome_weight=weights,
+        correction_table={b: int(full_table[b[0], b[1], b[2] - 1]) for b in branches},
+        per_outcome_weight={b: float(weight[b[0], b[1], b[2] - 1]) for b in branches},
     )

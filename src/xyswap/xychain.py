@@ -29,6 +29,7 @@ __all__ = [
     "PairMetrics",
     "HyperbolicWeights",
     "scaled_hyperbolics",
+    "ground_region",
     "hamiltonian",
     "spectrum",
     "thermal_state",
@@ -99,15 +100,21 @@ class HyperbolicWeights(NamedTuple):
 
 
 def scaled_hyperbolics(beta, b_script, j_abs):
-    """Overflow-safe hyperbolic weights.
+    """Overflow-safe hyperbolic weights, or None in the cold limit.
 
     Every member is the plain cosh/sinh multiplied by exp(-shift) with
     shift = max(beta*b_script, beta*j_abs)), so ratios that are homogeneous
-    in the four members can be formed for arbitrarily large beta.
+    in the four members can be formed for any beta at which the shift is
+    finite.  Where beta or the shift overflows (T = 0 included) no scaling
+    exists, and callers take the T -> 0 limits of `ground_region` instead.
     """
+    if beta == math.inf:
+        return None
     xb = beta * b_script
     xj = beta * j_abs
     m = max(xb, xj)
+    if m == math.inf:
+        return None
     ch = lambda x: 0.5 * (math.exp(x - m) + math.exp(-x - m))
     sh = lambda x: 0.5 * (math.exp(x - m) - math.exp(-x - m))
     return HyperbolicWeights(ch(xb), ch(xj), sh(xb), sh(xj), m)
@@ -126,6 +133,19 @@ def hamiltonian(params):
 def _basis_ket(index):
     ket = np.zeros(4, dtype=complex)
     ket[index] = 1.0
+    return ket
+
+
+def _field_block_ket(a, b):
+    """Unit ket along a|00> + b|11>.  A pair whose norm is too small to
+    invert (complex division multiplies by 1/norm) is first scaled up by an
+    exact power of two."""
+    norm = math.hypot(a, b)
+    if 1.0 / norm == math.inf:
+        a, b = a * 2.0**600, b * 2.0**600
+        norm = math.hypot(a, b)
+    ket = np.array([a, 0.0, 0.0, b], dtype=complex)
+    ket /= norm
     return ket
 
 
@@ -153,17 +173,12 @@ def spectrum(params):
         else:
             bminus = big_b - bm
             bplus = gj * gj / bminus
-        k0 = np.array([bplus, 0.0, 0.0, gj], dtype=complex)
-        k0 /= math.hypot(bplus, gj)
-        k3 = np.array([bminus, 0.0, 0.0, -gj], dtype=complex)
-        k3 /= math.hypot(bminus, gj)
+        k0 = _field_block_ket(bplus, gj)
+        k3 = _field_block_ket(bminus, -gj)
     k1 = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / math.sqrt(2.0)
     k2 = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
-    if params.T == 0.0:
-        log_z = math.inf
-    else:
-        h = scaled_hyperbolics(params.beta, big_b, abs(params.J))
-        log_z = h.shift + math.log(2.0 * (h.ch_b + h.ch_j))
+    h = scaled_hyperbolics(params.beta, big_b, abs(params.J))
+    log_z = math.inf if h is None else h.shift + math.log(2.0 * (h.ch_b + h.ch_j))
     return SpectrumXY(
         energies=(big_b, params.J, -params.J, -big_b),
         kets=(k0, k1, k2, k3),
@@ -175,11 +190,13 @@ def thermal_state(params):
     """Gibbs state of the pair at temperature T > 0.
 
     Boltzmann weights are formed in the log domain (shifted by the largest
-    exponent), so arbitrarily small T is safe.
+    exponent).  Where max(B, |J|)/T overflows the T -> 0 limit is returned.
     """
     if params.T <= 0.0:
         raise ValueError("thermal_state requires T > 0; use ground_state at T = 0")
     spec = spectrum(params)
+    if max(spec.energies) / params.T == math.inf:
+        return ground_state(params)
     exponents = -np.array(spec.energies) / params.T
     weights = np.exp(exponents - exponents.max())
     weights /= weights.sum()
@@ -189,39 +206,53 @@ def thermal_state(params):
     return rho
 
 
-def ground_state(params):
-    """T -> 0 limit of the thermal state.
+def ground_region(params):
+    """Region of the T -> 0 limit and the classifier s = eta^2 + gamma^2.
 
-    Classified by eta^2 + gamma^2 against 1 (tie tolerance 1e-12): below,
-    the antisymmetric exchange eigenstate wins; at the boundary it is
-    degenerate with the field-aligned eigenstate (equal mixture); above,
-    the field-aligned eigenstate wins alone.  For J < 0 the symmetric
-    exchange eigenstate takes the singlet's role; J = 0 leaves a fully
-    degenerate H = 0, i.e. the maximally mixed pair.
+    'free' at J = 0 (H = 0, fully degenerate); otherwise s against 1 with
+    tie tolerance 1e-12: 'exchange' below (the antisymmetric exchange
+    eigenstate wins), 'boundary' at 1 (it ties with the field-aligned
+    eigenstate) and 'field' above (the field-aligned eigenstate wins).
     """
+    s = params.eta**2 + params.gamma**2
     if params.J == 0.0:
+        return "free", s
+    if abs(s - 1.0) <= _CASE_TOL:
+        return "boundary", s
+    return ("exchange" if s < 1.0 else "field"), s
+
+
+def ground_state(params):
+    """T -> 0 limit of the thermal state, per `ground_region`.
+
+    Exchange region: the antisymmetric exchange eigenstate; boundary: its
+    equal mixture with the field-aligned eigenstate; field region: the
+    field-aligned eigenstate alone.  For J < 0 the symmetric exchange
+    eigenstate takes the singlet's role; the free pair is maximally mixed.
+    """
+    region, _ = ground_region(params)
+    if region == "free":
         return np.eye(4, dtype=complex) / 4.0
     spec = spectrum(params)
     exchange = spec.kets[2] if params.J > 0.0 else spec.kets[1]
-    s = params.eta**2 + params.gamma**2
-    if abs(s - 1.0) <= _CASE_TOL:
+    if region == "boundary":
         return 0.5 * (qcore.ket_density(exchange) + qcore.ket_density(spec.kets[3]))
-    if s < 1.0:
+    if region == "exchange":
         return qcore.ket_density(exchange)
     return qcore.ket_density(spec.kets[3])
 
 
 def _ground_metrics(params):
     """T -> 0 limits of the spin-flip roots, concurrence and Bell overlap,
-    per region of eta^2 + gamma^2 against 1 (matching ground_state)."""
-    if params.J == 0.0:
+    per `ground_region`."""
+    region, s = ground_region(params)
+    if region == "free":
         return PairMetrics((0.25, 0.25, 0.25, 0.25), 0.0, 0.25)
     g = abs(params.gamma)
-    s = params.eta**2 + params.gamma**2
-    if abs(s - 1.0) <= _CASE_TOL:
+    if region == "boundary":
         lams = (0.5, 0.5 * g, 0.0, 0.0)
         return PairMetrics(lams, 0.5 * (1.0 - g), 0.5)
-    if s < 1.0:
+    if region == "exchange":
         return PairMetrics((1.0, 0.0, 0.0, 0.0), 1.0, 1.0)
     r = g / math.sqrt(s)
     return PairMetrics((r, 0.0, 0.0, 0.0), r, 0.5 * (1.0 + r))
@@ -231,20 +262,21 @@ def pair_metrics(params):
     """Spin-flip spectrum roots, concurrence and maximal Bell overlap of the
     thermal pair, all in closed form.
 
-    At T = 0 the zero-temperature limits of the closed forms are used
-    directly (the generic qcore oracles lose digits to square roots of
-    roundoff-zero eigenvalues on the rank-deficient ground states).  For
-    T > 0 everything reduces to ratios of scaled hyperbolics; the nested
-    radical in the field-block roots simplifies to sqrt(1 + u^2) +- u with
+    At T = 0, and wherever beta * max(B, |J|) overflows, the
+    zero-temperature limits of the closed forms are used directly (the
+    generic qcore oracles lose digits to square roots of roundoff-zero
+    eigenvalues on the rank-deficient ground states).  Otherwise everything
+    reduces to ratios of scaled hyperbolics; the nested radical in the
+    field-block roots simplifies to sqrt(1 + u^2) +- u with
     u = (gamma J / B) sinh(beta B), which is the form used here.
     """
-    if params.T == 0.0:
-        return _ground_metrics(params)
     j_abs = abs(params.J)
     g_abs = abs(params.gamma)
     beta = params.beta
     big_b = params.b_script
     h = scaled_hyperbolics(beta, big_b, j_abs)
+    if h is None:
+        return _ground_metrics(params)
     z = 2.0 * (h.ch_b + h.ch_j)  # partition function, scaled
     r = g_abs * j_abs / big_b if big_b > 0.0 else 0.0
     lam1 = math.exp(beta * j_abs - h.shift) / z

@@ -2,13 +2,17 @@
 ground state and the closed-form pair metrics."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from xyswap import qcore
+from xyswap.teleport import fidelity_closed_form
 from xyswap.xychain import (
     ChainParams,
     ground_state,
@@ -428,3 +432,42 @@ def test_scaled_hyperbolics_moderate_beta():
     assert h.sh_b == pytest.approx(math.sinh(0.77) * s, rel=1e-14)
     assert h.ch_j == pytest.approx(math.cosh(0.28) * s, rel=1e-14)
     assert h.sh_j == pytest.approx(math.sinh(0.28) * s, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# whole-domain properties
+
+
+def _closed_form_values(p):
+    m = pair_metrics(p)
+    f = fidelity_closed_form(p)
+    return (*m.lambdas, m.concurrence, m.fef, f.c1, f.c2, f.phi_closed)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(
+    J=st.builds(lambda sign, x: sign * x, st.sampled_from((1.0, -1.0)), st.floats(1e-3, 1e3)),
+    gamma=st.floats(-1.0, 1.0),
+    eta=st.floats(-1e3, 1e3),
+    T=st.one_of(st.just(0.0), st.floats(5e-324, 1e6)),
+)
+def test_closed_forms_finite_bounded_and_sign_blind(J, gamma, eta, T):
+    # T reaches subnormal values, where beta * max(B, |J|) overflows and the
+    # T -> 0 limits must take over instead of a NaN.  The physical bounds
+    # hold up to a few ulps of rounding (c1 lands one ulp below 1/2 when hot).
+    ulps = 4 * sys.float_info.epsilon
+    p = _params(J, gamma, eta, T)
+    values = _closed_form_values(p)
+    assert all(math.isfinite(v) for v in values)
+    rho = thermal_state(p) if T > 0.0 else ground_state(p)
+    assert np.all(np.isfinite(rho))
+    m = pair_metrics(p)
+    assert -ulps <= m.concurrence <= 1.0 + ulps
+    assert 0.25 - ulps <= m.fef <= 1.0 + ulps
+    assert 0.5 - ulps <= fidelity_closed_form(p).phi_closed <= 1.0 + ulps
+    for flipped in (
+        _params(-J, gamma, eta, T),
+        _params(J, -gamma, eta, T),
+        _params(J, gamma, -eta, T),
+    ):
+        assert _closed_form_values(flipped) == values
