@@ -180,8 +180,8 @@ def _critical(kind, gamma, eta, j, t_hi):
     _check_domain(gamma, eta, j)
     if t_hi is None:
         t_hi = _default_t_hi(kind, gamma, eta, j)
-    elif not (math.isfinite(t_hi) and t_hi > 0.0):
-        raise ValueError(f"t_hi must be positive and finite, got {t_hi!r}")
+    elif not (math.isfinite(t_hi) and t_hi >= _T_FLOOR_OVER_J * j):
+        raise ValueError(f"t_hi must be finite and at least {_T_FLOOR_OVER_J:g} J, got {t_hi!r}")
     return _solve(kind, gamma, eta, j, t_hi)
 
 

@@ -6,7 +6,7 @@ basis, leftmost qubit label most significant.  Besides constructors and
 tensor / partial-trace / measurement plumbing, the module carries
 model-independent implementations of the two-qubit entanglement metrics
 (spin-flip concurrence, maximal Bell-state overlap) and a fixed spherical
-quadrature.  These generic routines double as oracles for the closed
+design.  These generic routines double as oracles for the closed
 forms implemented in the model modules.
 """
 
@@ -304,29 +304,22 @@ def bell_fraction(rho):
     )
 
 
-def _build_bloch_grid():
-    # Gauss-Legendre in cos(theta) x uniform periodic trapezoid in phi;
-    # exact for integrands of polynomial degree <= 2 in the Bloch vector.
-    x, wx = np.polynomial.legendre.leggauss(16)
-    theta = np.arccos(x)
-    phi = 2.0 * np.pi * np.arange(32) / 32.0
-    tt, pp = np.meshgrid(theta, phi, indexing="ij")
-    ww = np.broadcast_to((wx / 2.0)[:, None] / 32.0, tt.shape)
-    kets = np.stack(
-        [np.cos(tt / 2.0), np.exp(1j * pp) * np.sin(tt / 2.0)], axis=-1
-    ).reshape(-1, 2)
-    return kets, ww.reshape(-1).copy()
-
-
-_BLOCH_KETS, _BLOCH_WEIGHTS = _build_bloch_grid()
+# The six axis states |0>, |1>, |+-> and |+-i>: the octahedron is a
+# spherical 3-design, so equal weights integrate every polynomial of
+# degree <= 3 in the Bloch vector exactly (Delsarte, Goethals & Seidel
+# 1977; Hardin & Sloane 1996).
+_S = np.sqrt(0.5)
+_BLOCH_KETS = np.array([[1, 0], [0, 1], [_S, _S], [_S, -_S], [_S, 1j * _S], [_S, -1j * _S]])
+_BLOCH_WEIGHTS = np.full(6, 1.0 / 6.0)
 
 
 def bloch_grid():
-    """Quadrature kets (512, 2) and weights (512,) for uniform averages over
-    pure single-qubit states; weights sum to one."""
+    """Design kets (6, 2) and weights (6,) for uniform averages over pure
+    single-qubit states; exact for integrands of degree <= 3 in the Bloch
+    vector, and the weights sum to one."""
     return _BLOCH_KETS.copy(), _BLOCH_WEIGHTS.copy()
 
 
 def bloch_average(f):
-    """Average of f(ket) over the Bloch sphere using the fixed grid."""
+    """Average of f(ket) over the Bloch sphere using the fixed design."""
     return float(sum(w * f(k) for k, w in zip(_BLOCH_KETS, _BLOCH_WEIGHTS)))

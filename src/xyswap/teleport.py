@@ -9,7 +9,11 @@ merit is the input-averaged corrected overlap
 
     Phi = <  sum_{i,j,k}  p_i q^(i)_{jk}(phi) <phi| s_c rho_C s_c |phi>  >_phi
 
-with the average taken over the fixed Bloch quadrature grid.  The Pauli
+with the average taken over the six axis states, a spherical 3-design
+and so exact for this integrand of degree 2 in the Bloch vector.  Each
+branch state is one tensor contraction of the channel with the Bell bra
+(against the input) and the assisting bra on both sides; measuring C
+instead of B only permutes the channel axes they meet.  The Pauli
 table is static: entry (i, j, k) is the exhaustive-search optimum for the
 resource that outcome i ideally produces.  Swapping three ground-pair
 singlets under GHZ outcome i leaves the sign-flipped partner basis state
@@ -110,30 +114,31 @@ def conditioned_state(resource, input_ket, j, k, cfg=None):
     return q, qcore.partial_trace(post, keep)
 
 
+# the bra u[n, j, k, a, b] on both sides of channel m; "C" swaps its B and C axes
+_RHO_SUBSCRIPTS = {"B": "njkab,mabcdef,njkde->nmjkcf", "C": "njkab,macbdfe,njkde->nmjkcf"}
+_U, _RES = np.zeros((6, 4, 2, 2, 2)), np.zeros((8, 2, 2, 2, 2, 2, 2))
+_RHO_PATH = np.einsum_path(_RHO_SUBSCRIPTS["B"], _U, _RES, _U, optimize="greedy")[0]
+_BELLS = np.stack([qcore.bell_ket(j).reshape(2, 2) for j in range(4)])
+_PAULIS = np.stack([qcore.pauli(c) for c in range(4)])
+
+
 def _branch_data(resources, mu, measure_qubit):
-    """Vectorized branch bookkeeping over the Bloch quadrature grid.
+    """Vectorized branch bookkeeping over the Bloch design.
 
     resources: stacked (M, 8, 8) channel states.  Returns (q, vals, wts):
-    q[n, m, j, k] are branch probabilities at grid node n, and
+    q[n, m, j, k] are branch probabilities at design node n, and
     vals[c, n, m, j, k] = <phi_n| s_c rho~_C s_c |phi_n> for each candidate
     correction c, with rho~_C the q-weighted (unnormalized) receiver state,
     so no branch ever needs renormalizing.
     """
     kets, wts = qcore.bloch_grid()
     res = np.asarray(resources, dtype=complex).reshape(-1, 2, 2, 2, 2, 2, 2)
-    if measure_qubit == "C":
-        res = res.transpose(0, 1, 3, 2, 4, 6, 5)
-    bells = np.stack([qcore.bell_ket(j).reshape(2, 2) for j in range(4)])
-    meas = np.stack(_basis_kets(mu))
-    # bra of the Bell ket contracted with the input at each node
-    w = np.einsum("jxa,nx->nja", bells.conj(), kets)
-    u = np.einsum("nja,kb->njkab", w, meas.conj())
-    t = np.einsum("njkab,mabcdef->nmjkcdef", u, res)
-    rho = np.einsum("nmjkcdef,njkde->nmjkcf", t, u.conj())
+    w = np.einsum("jxa,nx->nja", _BELLS.conj(), kets)
+    u = np.einsum("nja,kb->njkab", w, np.stack(_basis_kets(mu)).conj())
+    rho = np.einsum(_RHO_SUBSCRIPTS[measure_qubit], u, res, u.conj(), optimize=_RHO_PATH)
     q = np.einsum("nmjkcc->nmjk", rho).real
-    sigma_phi = np.einsum("cxy,ny->cnx", np.stack([qcore.pauli(c) for c in range(4)]), kets)
-    tv = np.einsum("nmjkxy,cny->cnmjkx", rho, sigma_phi)
-    vals = np.einsum("cnmjkx,cnx->cnmjk", tv, sigma_phi.conj()).real
+    sigma_phi = np.einsum("cxy,ny->cnx", _PAULIS, kets)
+    vals = np.einsum("nmjkxy,cnx,cny->cnmjk", rho, sigma_phi.conj(), sigma_phi).real
     return q, vals, wts
 
 

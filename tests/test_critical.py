@@ -211,5 +211,10 @@ def test_domain_validation():
         t1_critical(0.5, 0.0, t_hi=-2.0)
     with pytest.raises(ValueError):
         t1_critical(0.5, 0.0, t_hi=math.inf)
+    # a ceiling below the 1e-6 J scan floor
+    with pytest.raises(ValueError):
+        t1_critical(0.5, 0.0, t_hi=5e-7)
+    with pytest.raises(ValueError):
+        t3_critical(0.5, 0.0, J=2.0, t_hi=1.5e-6)
     with pytest.raises(ValueError):
         t1_critical(math.nan, 0.0)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -212,6 +213,27 @@ def test_bell_fraction_product_states_bounded():
         rho = qcore.ket_density(qcore.tensor(random_ket(rng, 2), random_ket(rng, 2)))
         f = qcore.bell_fraction(rho)
         assert 0.0 <= f <= 0.5 + 1e-12
+
+
+def test_bloch_grid_is_a_spherical_3_design():
+    kets, wts = qcore.bloch_grid()
+    assert abs(wts.sum() - 1.0) < 1e-15
+    assert_allclose(np.linalg.norm(kets, axis=1), 1.0, atol=1e-15)
+    n = np.stack(
+        [np.einsum("nx,xy,ny->n", kets.conj(), qcore.pauli(i), kets).real for i in (1, 2, 3)],
+        axis=1,
+    )
+    # Haar moments of the Bloch vector: 1/3 for squares, 0 for every other
+    # monomial of degree 1..3
+    for powers in itertools.product(range(4), repeat=3):
+        if sum(powers) > 3:
+            continue
+        if sum(powers) == 0:
+            want = 1.0
+        else:
+            want = 1.0 / 3.0 if sorted(powers) == [0, 0, 2] else 0.0
+        got = float(wts @ np.prod(n**np.array(powers), axis=1))
+        assert abs(got - want) < 1e-15, powers
 
 
 def test_bloch_average_normalization_and_symmetry():

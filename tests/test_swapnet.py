@@ -71,6 +71,22 @@ def test_probability_matches_projector_expectation():
         assert result.probabilities[i] == pytest.approx(want, abs=1e-12)
 
 
+def test_contraction_matches_generic_measurement():
+    # the generic route: embed the GHZ projector on (A1, A2, A3) in the
+    # 64-dimensional product state, measure, and trace the A qubits out
+    rng = np.random.default_rng(97)
+    for _ in range(3):
+        chis = [random_density(rng, 4) for _ in range(3)]
+        product = np.kron(np.kron(chis[0], chis[1]), chis[2])
+        result = swap_triple(*chis)
+        for i in range(8):
+            proj = qcore.ket_density(qcore.ghz_ket(i))
+            prob, post = qcore.measure(product, proj, (0, 2, 4))
+            assert abs(result.probabilities[i] - prob) < 1e-13
+            want = qcore.partial_trace(post, (1, 3, 5))
+            assert np.max(np.abs(result.post_states[i] - want)) < 1e-13
+
+
 def test_mixture_is_probability_weighted_average():
     rng = np.random.default_rng(71)
     chis = [random_density(rng, 4) for _ in range(3)]
