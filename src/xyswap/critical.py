@@ -9,7 +9,9 @@ root in temperature of a signed margin:
 
 Each margin is positive below its critical temperature and negative above
 it, so a descending scan finds the largest root; that bracket is then
-bisected.  For gamma > 0 the thresholds grow roughly linearly in eta, and
+bisected.  The scan evaluates array forms of the closed forms, all etas of
+a sweep that share a ceiling at once, in numpy passes of fixed size; the
+bisection evaluates the scalar closed forms.  For gamma > 0 the thresholds grow roughly linearly in eta, and
 the scan ceiling follows the large-eta asymptote so the root never escapes
 the scanned window.
 """
@@ -17,6 +19,9 @@ the scanned window.
 import logging
 import math
 from dataclasses import dataclass
+from itertools import chain, islice
+
+import numpy as np
 
 from .teleport import TeleportConfig, fidelity_closed_form
 from .xychain import ChainParams, pair_metrics
@@ -36,6 +41,8 @@ logger = logging.getLogger(__name__)
 _T_FLOOR_OVER_J = 1e-6
 _SCAN_STEP_OVER_J = 0.05
 _BRACKET_WIDTH_OVER_J = 1e-8
+_SCAN_BLOCK = 256  # margin values per numpy pass, which bounds the scan's memory
+_SCAN_RECHECK = 1e-13  # array margins this close to zero, or NaN, are recomputed by the scalar forms
 
 
 @dataclass(frozen=True)
@@ -113,42 +120,173 @@ def _default_t_hi(kind, gamma, eta, j):
     return t_hi
 
 
-def _solve(kind, gamma, eta, j, t_hi):
+def _field_terms(gamma, eta, j):
+    """The gap scale B and the ratio gamma J / B (0 where B = 0), formed as
+    the scalar closed forms form them."""
+    b = math.hypot(eta, gamma) * j
+    return b, (gamma * j / b if b > 0.0 else 0.0)
+
+
+def _scan_margins(kind, j, b, r, t):
+    """Array form of the kind's margin at temperatures t > 0 for J > 0,
+    with b and r from `_field_terms`, all broadcast together.
+
+    Follows `pair_metrics` and `fidelity_closed_form` on their scaled
+    hyperbolic branch.  numpy's exp can differ from the math module's by an
+    ulp, so the values agree within 1e-15, not bit for bit; the scan
+    recomputes points near zero with the scalar forms.
+    """
+    beta = 1.0 / t
+    xb = beta * b
+    xj = beta * j
+    m = np.maximum(xb, xj)
+    eb_hi, eb_lo = np.exp(xb - m), np.exp(-xb - m)
+    ej_hi, ej_lo = np.exp(xj - m), np.exp(-xj - m)
+    ch_b, sh_b = 0.5 * (eb_hi + eb_lo), 0.5 * (eb_hi - eb_lo)
+    ch_j, sh_j = 0.5 * (ej_hi + ej_lo), 0.5 * (ej_hi - ej_lo)
+    if kind == 3:
+        den = ch_b + ch_j
+        c1 = 2.0 * (ch_b**2 + ch_b * ch_j + ch_j**2) / (3.0 * den**2)
+        c2 = (
+            2.0
+            * (sh_j**3 + r * sh_j**2 * sh_b + r**2 * sh_j * sh_b**2 + r**3 * sh_b**3)
+            / (3.0 * den**3)
+        )
+        return c1 + 0.5 * c2 - 2.0 / 3.0
+    z = 2.0 * (ch_b + ch_j)
+    lam1 = ej_hi / z
+    if kind == 2:
+        return np.maximum(lam1, (ch_b + r * sh_b) / z) - 0.5
+    u = r * sh_b
+    root = np.hypot(np.exp(-m), u)
+    lam2, lam3, lam4 = ej_lo / z, (root + u) / z, (root - u) / z
+    # summed in descending order as pair_metrics does; lam1 >= lam2 and lam3 >= lam4
+    top, mid_a = np.maximum(lam1, lam3), np.minimum(lam1, lam3)
+    mid_b, bottom = np.maximum(lam2, lam4), np.minimum(lam2, lam4)
+    total = top + np.maximum(mid_a, mid_b) + np.minimum(mid_a, mid_b) + bottom
+    return 2.0 * top - total
+
+
+def _scan_grid(t_hi, step, floor):
+    """The scan temperatures in chunks: t_hi, then repeated subtraction of
+    step, the first value at or below the floor replaced by the floor and
+    ending the scan.  Yields (ts, n): an array of _SCAN_BLOCK values of
+    which the first n belong to the scan."""
+    acc = np.full(_SCAN_BLOCK, step)
+    acc[0] = t_hi
+    head = 1  # the ceiling itself is never clamped
+    while True:
+        ts = np.subtract.accumulate(acc)
+        low = np.flatnonzero(ts[head:] <= floor)
+        if low.size:
+            n = head + int(low[0]) + 1
+            ts[n - 1] = floor
+            yield ts, n
+            return
+        yield ts, _SCAN_BLOCK
+        acc[0] = ts[-1] - step
+        head = 0
+
+
+class _Scan:
+    """Descending scan of one margin: its value at the ceiling, the last
+    point, the crossing count and the first (largest) upward bracket."""
+
+    __slots__ = ("f", "f_hi", "t_prev", "f_prev", "crossings", "first")
+
+    def __init__(self, f):
+        self.f = f
+        self.f_hi = None
+        self.crossings = 0
+        self.first = None
+
+    def feed(self, points):
+        """Carry the scan on over an iterator of (T, array margin) pairs;
+        margins within _SCAN_RECHECK of zero are recomputed by `f`."""
+        f = self.f
+        if self.f_hi is None:
+            t, value = next(points)
+            self.t_prev = t
+            self.f_hi = self.f_prev = value if value > _SCAN_RECHECK or value < -_SCAN_RECHECK else f(t)
+        if self.f_hi > 0.0:
+            # the scan ends at a ceiling that leaves the margin positive
+            for _ in points:
+                pass
+            return
+        t_prev, f_prev, crossings, first = self.t_prev, self.f_prev, self.crossings, self.first
+        for t, f_cur in points:
+            # NaN fails both comparisons, so it is recomputed too
+            if not (f_cur > _SCAN_RECHECK or f_cur < -_SCAN_RECHECK):
+                f_cur = f(t)
+            # strict sign on the current point, so margins that merely
+            # underflow to exact zero near T = 0 do not count as crossings
+            upward = f_prev <= 0.0 < f_cur
+            if upward or f_prev >= 0.0 > f_cur:
+                crossings += 1
+                if first is None and upward:
+                    first = (t, t_prev)
+            t_prev, f_prev = t, f_cur
+        self.t_prev, self.f_prev, self.crossings, self.first = t_prev, f_prev, crossings, first
+
+
+def _margin_passes(kind, j, gamma, etas, ts, n):
+    """Array margins at (eta, ts[k]) for each eta in turn and k < n, as
+    lists from numpy passes of exactly _SCAN_BLOCK points, the last one
+    padded, so that every pass allocates the same sizes."""
+    b, r = np.array([_field_terms(gamma, eta, j) for eta in etas]).T
+    for start in range(0, len(etas) * n, _SCAN_BLOCK):
+        point = np.arange(start, start + _SCAN_BLOCK)
+        row = np.minimum(point // n, len(etas) - 1)
+        # where B / T overflows the values are NaN, and the scalar forms decide
+        with np.errstate(all="ignore"):
+            yield _scan_margins(kind, j, b[row], r[row], ts[point % n]).tolist()
+
+
+def _solve(kind, gamma, etas, j, t_his):
+    """Roots of one margin kind at each (eta, scan ceiling) pair.
+
+    Etas that share a ceiling share one scan grid, and the margins on it
+    are evaluated in numpy passes of bounded size, so memory stays bounded
+    for any ceiling.  The crossing rules and the bisection then run per eta
+    on the scalar closed forms.
+    """
     margin = _MARGINS[kind]
-
-    def f(t):
-        return margin(ChainParams(J=j, gamma=gamma, eta=eta, T=t))
-
     floor = _T_FLOOR_OVER_J * j
     step = _SCAN_STEP_OVER_J * j
-    f_hi = f(t_hi)
-    if f_hi > 0.0:
+
+    def at(eta):
+        return lambda t: margin(ChainParams(J=j, gamma=gamma, eta=eta, T=t))
+
+    scans = [_Scan(at(eta)) for eta in etas]
+    groups = {}
+    for i, t_hi in enumerate(t_his):
+        groups.setdefault(t_hi, []).append(i)
+    for t_hi, members in groups.items():
+        for ts, n in _scan_grid(t_hi, step, floor):
+            live = [i for i in members if scans[i].f_hi is None or scans[i].f_hi <= 0.0]
+            if not live:
+                break
+            t_list = ts.tolist()
+            values = chain.from_iterable(
+                _margin_passes(kind, j, gamma, [etas[i] for i in live], ts, n)
+            )
+            for i in live:
+                # islice comes first, so zip takes exactly n values per eta
+                scans[i].feed(zip(islice(t_list, n), values))
+    return [_root(kind, gamma, eta, j, t_hi, floor, scan) for eta, t_hi, scan in zip(etas, t_his, scans)]
+
+
+def _root(kind, gamma, eta, j, t_hi, floor, scan):
+    """The result of one finished scan: its warnings, then the bisection."""
+    f = scan.f
+    if scan.f_hi > 0.0:
         logger.warning(
             "kind %d margin still positive at scan ceiling T = %.6g (gamma=%g, eta=%g)",
             kind, t_hi, gamma, eta,
         )
         return CriticalResult(kind, gamma, eta, math.nan, None, False)
 
-    t_prev, f_prev = t_hi, f_hi
-    first = None
-    crossings = 0
-    t = t_hi - step
-    while True:
-        t = max(t, floor)
-        f_cur = f(t)
-        # strict sign on the current point, so margins that merely
-        # underflow to exact zero near T = 0 do not count as crossings
-        upward = f_prev <= 0.0 < f_cur
-        if upward or f_prev >= 0.0 > f_cur:
-            crossings += 1
-            if first is None and upward:
-                first = (t, t_prev)
-        t_prev, f_prev = t, f_cur
-        if t == floor:
-            break
-        t = t - step
-
-    if first is None:
+    if scan.first is None:
         m0 = f(0.0)
         if m0 <= 0.0:
             return CriticalResult(kind, gamma, eta, 0.0, (0.0, 0.0), True)
@@ -158,13 +296,13 @@ def _solve(kind, gamma, eta, j, t_hi):
         )
         return CriticalResult(kind, gamma, eta, math.nan, None, False)
 
-    if crossings > 1:
+    if scan.crossings > 1:
         logger.warning(
             "kind %d margin crosses zero %d times (gamma=%g, eta=%g); keeping the largest root",
-            kind, crossings, gamma, eta,
+            kind, scan.crossings, gamma, eta,
         )
 
-    lo, hi = first
+    lo, hi = scan.first
     width = _BRACKET_WIDTH_OVER_J * j
     while hi - lo > width:
         mid = 0.5 * (lo + hi)
@@ -176,13 +314,18 @@ def _solve(kind, gamma, eta, j, t_hi):
     return CriticalResult(kind, gamma, eta, root / j, (lo / j, hi / j), True)
 
 
-def _critical(kind, gamma, eta, j, t_hi):
+def _ceiling(kind, gamma, eta, j, t_hi):
+    """Checked scan ceiling: the given one, or the default for the kind."""
     _check_domain(gamma, eta, j)
     if t_hi is None:
-        t_hi = _default_t_hi(kind, gamma, eta, j)
-    elif not (math.isfinite(t_hi) and t_hi >= _T_FLOOR_OVER_J * j):
+        return _default_t_hi(kind, gamma, eta, j)
+    if not (math.isfinite(t_hi) and t_hi >= _T_FLOOR_OVER_J * j):
         raise ValueError(f"t_hi must be finite and at least {_T_FLOOR_OVER_J:g} J, got {t_hi!r}")
-    return _solve(kind, gamma, eta, j, t_hi)
+    return t_hi
+
+
+def _critical(kind, gamma, eta, j, t_hi):
+    return _solve(kind, gamma, [eta], j, [_ceiling(kind, gamma, eta, j, t_hi)])[0]
 
 
 def t1_critical(gamma, eta, J=1.0, *, t_hi=None):
@@ -205,4 +348,5 @@ def sweep(kind, gamma, eta_grid, J=1.0):
     """All critical temperatures of one kind along a grid of eta values."""
     if kind not in _MARGINS:
         raise ValueError(f"kind must be 1, 2 or 3, got {kind!r}")
-    return [_critical(kind, gamma, float(eta), J, None) for eta in eta_grid]
+    etas = [float(eta) for eta in eta_grid]
+    return _solve(kind, gamma, etas, J, [_ceiling(kind, gamma, eta, J, None) for eta in etas])

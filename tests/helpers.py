@@ -1,7 +1,13 @@
-"""Shared test utilities: random states, independent embeddings, and the
-three-qubit tangle used to pin swap outputs."""
+"""Shared test utilities: random states, independent embeddings, the
+three-qubit tangle used to pin swap outputs, and the point-by-point
+critical-temperature solver the array scan is checked against."""
+
+import math
 
 import numpy as np
+
+from xyswap import critical
+from xyswap.xychain import ChainParams
 
 
 def random_ket(rng, dim):
@@ -76,3 +82,73 @@ def three_tangle(psi):
         + a[1, 1, 1] * a[0, 0, 1] * a[0, 1, 0] * a[1, 0, 0]
     )
     return float(4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3))
+
+
+def reference_critical(kind, gamma, eta, J=1.0, t_hi=None):
+    """The critical-temperature solver with its descending scan evaluated
+    one scalar closed form per temperature.  Returns (result, messages),
+    with the warnings it would log as formatted strings."""
+    critical._check_domain(gamma, eta, J)
+    if t_hi is None:
+        t_hi = critical._default_t_hi(kind, gamma, eta, J)
+    margin = critical._MARGINS[kind]
+    messages = []
+
+    def f(t):
+        return margin(ChainParams(J=J, gamma=gamma, eta=eta, T=t))
+
+    def result(t_over_j, bracket, converged):
+        return critical.CriticalResult(kind, gamma, eta, t_over_j, bracket, converged), messages
+
+    floor = critical._T_FLOOR_OVER_J * J
+    step = critical._SCAN_STEP_OVER_J * J
+    f_hi = f(t_hi)
+    if f_hi > 0.0:
+        messages.append(
+            "kind %d margin still positive at scan ceiling T = %.6g (gamma=%g, eta=%g)"
+            % (kind, t_hi, gamma, eta)
+        )
+        return result(math.nan, None, False)
+
+    t_prev, f_prev = t_hi, f_hi
+    first = None
+    crossings = 0
+    t = t_hi - step
+    while True:
+        t = max(t, floor)
+        f_cur = f(t)
+        upward = f_prev <= 0.0 < f_cur
+        if upward or f_prev >= 0.0 > f_cur:
+            crossings += 1
+            if first is None and upward:
+                first = (t, t_prev)
+        t_prev, f_prev = t, f_cur
+        if t == floor:
+            break
+        t = t - step
+
+    if first is None:
+        if f(0.0) <= 0.0:
+            return result(0.0, (0.0, 0.0), True)
+        messages.append(
+            "kind %d margin positive at T = 0 but no crossing found above %.1e (gamma=%g, eta=%g)"
+            % (kind, floor, gamma, eta)
+        )
+        return result(math.nan, None, False)
+
+    if crossings > 1:
+        messages.append(
+            "kind %d margin crosses zero %d times (gamma=%g, eta=%g); keeping the largest root"
+            % (kind, crossings, gamma, eta)
+        )
+
+    lo, hi = first
+    width = critical._BRACKET_WIDTH_OVER_J * J
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    root = 0.5 * (lo + hi)
+    return result(root / J, (lo / J, hi / J), True)

@@ -2,10 +2,15 @@
 
 import logging
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from xyswap import qcore
+from helpers import reference_critical
+from xyswap import critical, qcore
 from xyswap.critical import (
     CriticalResult,
     sweep,
@@ -218,3 +223,99 @@ def test_domain_validation():
         t3_critical(0.5, 0.0, J=2.0, t_hi=1.5e-6)
     with pytest.raises(ValueError):
         t1_critical(math.nan, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the array scan against the point-by-point reference
+
+
+_FIG1_ETAS = list(np.linspace(0.0, 2.0, 81))
+_TAIL_ETAS = [2.5, 7.0, 30.0, 120.0, 200.0]
+_SWEEPS = (
+    # the table1 grid
+    [(kind, 0.0, [round(0.1 * i, 1) for i in range(10)], 1.0) for kind in (2, 3)]
+    # the fig1 grid, which holds the kind-1 re-entrant points at gamma = 0.3
+    + [(kind, g, _FIG1_ETAS, 1.0) for g in (0.0, 0.3, 1.0) for kind in (1, 2, 3)]
+    # large-field tails, where every eta has its own ceiling
+    + [(kind, g, _TAIL_ETAS, 1.0) for g in (0.3, 1.0) for kind in (1, 2, 3)]
+    + [(kind, 0.4, [0.0, 0.5, 1.0, 1.5, 3.0, 50.0], j) for j in (0.37, 2.0) for kind in (1, 2, 3)]
+    # roots below the scan floor
+    + [(kind, 0.003, [1.0], 1.0) for kind in (2, 3)]
+)
+
+
+def _assert_same_roots(got, messages, want):
+    assert [repr(r) for r in got] == [repr(r) for r, _ in want]
+    assert messages == [m for _, ms in want for m in ms]
+
+
+@pytest.mark.parametrize("kind, gamma, etas, j", _SWEEPS)
+def test_sweep_matches_reference_solver(caplog, kind, gamma, etas, j):
+    with caplog.at_level(logging.WARNING, logger="xyswap.critical"):
+        got = sweep(kind, gamma, etas, J=j)
+    want = [reference_critical(kind, gamma, float(eta), J=j) for eta in etas]
+    _assert_same_roots(got, [r.getMessage() for r in caplog.records], want)
+
+
+@pytest.mark.parametrize("kind, gamma, eta, j, t_hi", [
+    (1, 0.3, 2.0, 1.0, None),  # re-entrant: three crossings
+    (1, 0.0, 0.0, 1.0, 0.5),  # the ceiling leaves the margin positive
+    (2, 0.003, 1.0, 1.0, None),  # below the floor
+    (3, 0.5, 0.4, 2.0, 7.3),
+    (2, 0.6, 0.8, 0.37, None),  # T = 0 fallback on the degenerate boundary
+    (1, 0.5, 1e305, 1.0, 1.0),  # B / T overflows below the ceiling
+    (3, 0.2, 0.7, 1.0, 500.0),  # 10^4 scan points
+])
+def test_point_solvers_match_reference_solver(caplog, kind, gamma, eta, j, t_hi):
+    solver = {1: t1_critical, 2: t2_critical, 3: t3_critical}[kind]
+    with caplog.at_level(logging.WARNING, logger="xyswap.critical"):
+        got = solver(gamma, eta, J=j, t_hi=t_hi)
+    want = reference_critical(kind, gamma, eta, J=j, t_hi=t_hi)
+    _assert_same_roots([got], [r.getMessage() for r in caplog.records], [want])
+
+
+def test_ulp_noise_in_array_margins_moves_no_root(monkeypatch):
+    # the array forms may differ from the scalar ones by an ulp; margins
+    # that are zero or nearly so (flat regions at gamma = 0 and 1) are
+    # recomputed by the scalar forms, so such noise cannot add a crossing
+    array_margins = critical._scan_margins
+
+    def noisy(*args):
+        values = array_margins(*args)
+        return values + 1e-15 * np.where(np.arange(values.size) % 2, 1.0, -1.0)
+
+    monkeypatch.setattr(critical, "_scan_margins", noisy)
+    for gamma in (0.0, 1.0):
+        for kind in (1, 2, 3):
+            got = sweep(kind, gamma, _FIG1_ETAS)
+            want = [reference_critical(kind, gamma, float(eta))[0] for eta in _FIG1_ETAS]
+            assert [repr(r) for r in got] == [repr(r) for r in want]
+
+
+def test_scan_memory_stays_bounded_for_a_high_ceiling():
+    # about 10^6 scan points; the whole grid as an array alone would be 8 MB
+    tracemalloc.start()
+    try:
+        result = t3_critical(0.5, 0.4, t_hi=5e4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert repr(result) == repr(reference_critical(3, 0.5, 0.4, t_hi=5e4)[0])
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(
+    J=st.floats(1e-3, 1e3),
+    gamma=st.floats(0.0, 1.0),
+    eta=st.floats(0.0, 1e3),
+    T=st.floats(1e-6, 1e6),
+)
+def test_array_margins_match_scalar_margins(J, gamma, eta, T):
+    # numpy's exp is not libm's, so the array forms may differ by an ulp
+    T = max(T, 1e-6 * J)
+    b, r = critical._field_terms(gamma, eta, J)
+    for kind in (1, 2, 3):
+        value = critical._scan_margins(kind, J, np.array([b]), np.array([r]), np.array([T]))[0]
+        scalar = critical._MARGINS[kind](ChainParams(J=J, gamma=gamma, eta=eta, T=T))
+        assert abs(value - scalar) <= 1e-15
