@@ -11,9 +11,10 @@ Each margin is positive below its critical temperature and negative above
 it, so a descending scan finds the largest root; that bracket is then
 bisected.  The scan evaluates array forms of the closed forms, all etas of
 a sweep that share a ceiling at once, in numpy passes of fixed size; the
-bisection evaluates the scalar closed forms.  For gamma > 0 the thresholds grow roughly linearly in eta, and
-the scan ceiling follows the large-eta asymptote so the root never escapes
-the scanned window.
+bisection evaluates the scalar closed forms through their kernels, with
+the inputs checked once per sweep.  For gamma > 0 the thresholds grow
+roughly linearly in eta, and the scan ceiling follows the large-eta
+asymptote so the root never escapes the scanned window.
 """
 
 import logging
@@ -23,8 +24,8 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .teleport import TeleportConfig, fidelity_closed_form
-from .xychain import ChainParams, pair_metrics
+from .teleport import TeleportConfig, _closed_coefficients, fidelity_closed_form
+from .xychain import ChainParams, _metrics_kernel, pair_metrics
 
 __all__ = [
     "CriticalResult",
@@ -92,13 +93,25 @@ def t3_asymptote(gamma, eta, J=1.0):
     return eta * J / den
 
 
-def _margin_concurrence(params):
-    m = pair_metrics(params)
+def _concurrence_excess(m):
     return 2.0 * m.lambdas[0] - sum(m.lambdas)
 
 
+def _fef_excess(m):
+    return m.fef - 0.5
+
+
+def _phi_excess(coefficients):
+    c1, c2 = coefficients
+    return c1 + 0.5 * c2 - 2.0 / 3.0
+
+
+def _margin_concurrence(params):
+    return _concurrence_excess(pair_metrics(params))
+
+
 def _margin_fef(params):
-    return pair_metrics(params).fef - 0.5
+    return _fef_excess(pair_metrics(params))
 
 
 _PHI_CFG = TeleportConfig(mu=math.pi / 4.0)
@@ -106,10 +119,17 @@ _PHI_CFG = TeleportConfig(mu=math.pi / 4.0)
 
 def _margin_phi(params):
     r = fidelity_closed_form(params, _PHI_CFG)
-    return r.c1 + 0.5 * r.c2 - 2.0 / 3.0
+    return _phi_excess((r.c1, r.c2))
 
 
 _MARGINS = {1: _margin_concurrence, 2: _margin_fef, 3: _margin_phi}
+# the same margins on the unchecked closed-form kernels at (beta, B, J, gamma):
+# the kernel, None in the cold limit, and the margin of its output
+_KERNEL_MARGINS = {
+    1: (_metrics_kernel, _concurrence_excess),
+    2: (_metrics_kernel, _fef_excess),
+    3: (_closed_coefficients, _phi_excess),
+}
 
 
 def _default_t_hi(kind, gamma, eta, j):
@@ -125,6 +145,26 @@ def _field_terms(gamma, eta, j):
     the scalar closed forms form them."""
     b = math.hypot(eta, gamma) * j
     return b, (gamma * j / b if b > 0.0 else 0.0)
+
+
+def _margin_at(kind, gamma, eta, j):
+    """The kind's margin as a function of T at checked (gamma, eta, J).
+
+    For T > 0 it evaluates the closed-form kernel at beta = 1/T and the
+    B bound here, with the public forms' arithmetic and so their values.
+    At T = 0, and in the cold limit, it takes the public route, whose
+    `ground_region` limits the kernels leave out.
+    """
+    kernel, excess = _KERNEL_MARGINS[kind]
+    margin = _MARGINS[kind]
+    g = abs(gamma)
+    b, _ = _field_terms(g, eta, j)
+
+    def f(t):
+        out = kernel(1.0 / t, b, j, g) if t > 0.0 else None
+        return margin(ChainParams(J=j, gamma=gamma, eta=eta, T=t)) if out is None else excess(out)
+
+    return f
 
 
 def _scan_margins(kind, j, b, r, t):
@@ -248,16 +288,11 @@ def _solve(kind, gamma, etas, j, t_his):
     Etas that share a ceiling share one scan grid, and the margins on it
     are evaluated in numpy passes of bounded size, so memory stays bounded
     for any ceiling.  The crossing rules and the bisection then run per eta
-    on the scalar closed forms.
+    on the scalar closed-form kernels.
     """
-    margin = _MARGINS[kind]
     floor = _T_FLOOR_OVER_J * j
     step = _SCAN_STEP_OVER_J * j
-
-    def at(eta):
-        return lambda t: margin(ChainParams(J=j, gamma=gamma, eta=eta, T=t))
-
-    scans = [_Scan(at(eta)) for eta in etas]
+    scans = [_Scan(_margin_at(kind, gamma, eta, j)) for eta in etas]
     groups = {}
     for i, t_hi in enumerate(t_his):
         groups.setdefault(t_hi, []).append(i)

@@ -66,9 +66,12 @@ def swap_triple(chi1, chi2, chi3):
     return _swap(chi1, chi2, chi3)
 
 
-def swap_all(params):
+def swap_all(params, frame=None):
     """Swap three identical pairs drawn from the chain model (thermal for
-    T > 0, ground state at T = 0)."""
+    T > 0, ground state at T = 0).  A `frame`, a 4x4 unitary, is applied
+    to each pair first, as U chi U^dagger."""
     chi = thermal_state(params) if params.T > 0.0 else ground_state(params)
+    if frame is not None:
+        chi = frame @ chi @ frame.conj().T
     qcore.validate_density(chi, dim=4)
     return _swap(chi, chi, chi)

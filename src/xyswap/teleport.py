@@ -142,6 +142,31 @@ def _branch_data(resources, mu, measure_qubit):
     return q, vals, wts
 
 
+# Local unitaries between the sign sectors of the pair Hamiltonian.  Z x 1
+# flips sx.sx and sy.sy and keeps the field term eta J, so it carries
+# H(J, gamma, eta) to H(-J, gamma, -eta).  S = diag(1, i), which is
+# Rz(pi/2) up to a phase, maps sx to sy and sy to -sx, so S x S carries
+# H(gamma) to H(-gamma) and back (its square Z x Z commutes with H).
+# Conjugating a Gibbs or ground state by them gives the state of the
+# carried Hamiltonian.
+_FLIP_J = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
+_FLIP_GAMMA = np.diag([1.0, 1j, 1j, -1.0])
+
+
+def _positive_frame(params):
+    """The local unitary that takes the pair into the J > 0, gamma >= 0
+    frame, for which the correction table is derived; None where the pair
+    is already there (or J = 0, where the pair is maximally mixed)."""
+    if params.J >= 0.0 and params.gamma >= 0.0:
+        return None
+    frame = np.eye(4, dtype=complex)
+    if params.J < 0.0:
+        frame = _FLIP_J @ frame
+    if params.gamma < 0.0:
+        frame = _FLIP_GAMMA @ frame
+    return frame
+
+
 _TABLE_CACHE = {}
 
 
@@ -183,9 +208,10 @@ def fidelity_closed_form(params, cfg=None):
     """
     cfg = cfg if cfg is not None else TeleportConfig()
     g = abs(params.gamma)
-    j = abs(params.J)
-    h = scaled_hyperbolics(params.beta, params.b_script, j)
-    if h is None:
+    coefficients = _closed_coefficients(params.beta, params.b_script, abs(params.J), g)
+    if coefficients is not None:
+        c1, c2 = coefficients
+    else:
         region, s = ground_region(params)
         if region == "free":
             c1, c2 = 0.5, 0.0
@@ -197,30 +223,44 @@ def fidelity_closed_form(params, cfg=None):
         else:
             r = g / math.sqrt(s)
             c1, c2 = 2.0 / 3.0, (2.0 / 3.0) * r**3
-    else:
-        den = h.ch_b + h.ch_j
-        c1 = 2.0 * (h.ch_b**2 + h.ch_b * h.ch_j + h.ch_j**2) / (3.0 * den**2)
-        r = g * j / params.b_script if params.b_script > 0.0 else 0.0
-        c2 = (
-            2.0
-            * (
-                h.sh_j**3
-                + r * h.sh_j**2 * h.sh_b
-                + r**2 * h.sh_j * h.sh_b**2
-                + r**3 * h.sh_b**3
-            )
-            / (3.0 * den**3)
-        )
     phi = c1 + c2 * math.cos(cfg.mu) * math.sin(cfg.mu)
     return TeleportResult(c1=c1, c2=c2, phi_closed=phi)
 
 
+def _closed_coefficients(beta, big_b, j, g):
+    """(c1, c2) of `fidelity_closed_form` at beta, B, |J| and |gamma|,
+    taken as checked; None in the cold limit, where `scaled_hyperbolics`
+    is None."""
+    h = scaled_hyperbolics(beta, big_b, j)
+    if h is None:
+        return None
+    den = h.ch_b + h.ch_j
+    c1 = 2.0 * (h.ch_b**2 + h.ch_b * h.ch_j + h.ch_j**2) / (3.0 * den**2)
+    r = g * j / big_b if big_b > 0.0 else 0.0
+    c2 = (
+        2.0
+        * (
+            h.sh_j**3
+            + r * h.sh_j**2 * h.sh_b
+            + r**2 * h.sh_j * h.sh_b**2
+            + r**3 * h.sh_b**3
+        )
+        / (3.0 * den**3)
+    )
+    return c1, c2
+
+
 def evaluate(params, cfg=None):
     """Closed form and simulation side by side, with the static correction
-    table and the averaged per-branch weights p_i <q^(i)_{jk}>."""
+    table and the averaged per-branch weights p_i <q^(i)_{jk}>.
+
+    Each pair is first rotated into the J > 0, gamma >= 0 frame by local
+    unitaries, which the parties can apply since they know the chain's
+    signs; the table is derived for that frame.
+    """
     cfg = cfg if cfg is not None else TeleportConfig()
     closed = fidelity_closed_form(params, cfg)
-    swap = swap_all(params)
+    swap = swap_all(params, _positive_frame(params))
     kept = [i for i in range(8) if swap.post_states[i] is not None]
     resources = np.stack([swap.post_states[i] for i in kept])
     probs = swap.probabilities[kept]

@@ -16,6 +16,7 @@ evaluated on absolute values and remain valid on the full sign domain.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -38,6 +39,7 @@ __all__ = [
 ]
 
 _CASE_TOL = 1e-12  # tie tolerance when classifying eta^2 + gamma^2 against 1
+_ETA_SQUARE_MAX = math.sqrt(sys.float_info.max)  # the largest double whose square is finite
 
 
 @dataclass(frozen=True)
@@ -115,9 +117,11 @@ def scaled_hyperbolics(beta, b_script, j_abs):
     m = max(xb, xj)
     if m == math.inf:
         return None
-    ch = lambda x: 0.5 * (math.exp(x - m) + math.exp(-x - m))
-    sh = lambda x: 0.5 * (math.exp(x - m) - math.exp(-x - m))
-    return HyperbolicWeights(ch(xb), ch(xj), sh(xb), sh(xj), m)
+    eb_hi, eb_lo = math.exp(xb - m), math.exp(-xb - m)
+    ej_hi, ej_lo = math.exp(xj - m), math.exp(-xj - m)
+    return HyperbolicWeights(
+        0.5 * (eb_hi + eb_lo), 0.5 * (ej_hi + ej_lo), 0.5 * (eb_hi - eb_lo), 0.5 * (ej_hi - ej_lo), m
+    )
 
 
 def hamiltonian(params):
@@ -213,8 +217,14 @@ def ground_region(params):
     tie tolerance 1e-12: 'exchange' below (the antisymmetric exchange
     eigenstate wins), 'boundary' at 1 (it ties with the field-aligned
     eigenstate) and 'field' above (the field-aligned eigenstate wins).
+    Where eta**2 would overflow (|eta| above ~1.34e154) the region is
+    'field' and s is +inf, so the field ratio |gamma| / sqrt(s), below
+    1e-154 there, is taken as 0.
     """
-    s = params.eta**2 + params.gamma**2
+    if abs(params.eta) > _ETA_SQUARE_MAX:
+        s = math.inf
+    else:
+        s = params.eta**2 + params.gamma**2
     if params.J == 0.0:
         return "free", s
     if abs(s - 1.0) <= _CASE_TOL:
@@ -270,13 +280,16 @@ def pair_metrics(params):
     field-block roots simplifies to sqrt(1 + u^2) +- u with
     u = (gamma J / B) sinh(beta B), which is the form used here.
     """
-    j_abs = abs(params.J)
-    g_abs = abs(params.gamma)
-    beta = params.beta
-    big_b = params.b_script
+    m = _metrics_kernel(params.beta, params.b_script, abs(params.J), abs(params.gamma))
+    return _ground_metrics(params) if m is None else m
+
+
+def _metrics_kernel(beta, big_b, j_abs, g_abs):
+    """`pair_metrics` at beta, B, |J| and |gamma|, taken as checked; None
+    in the cold limit, where `scaled_hyperbolics` is None."""
     h = scaled_hyperbolics(beta, big_b, j_abs)
     if h is None:
-        return _ground_metrics(params)
+        return None
     z = 2.0 * (h.ch_b + h.ch_j)  # partition function, scaled
     r = g_abs * j_abs / big_b if big_b > 0.0 else 0.0
     lam1 = math.exp(beta * j_abs - h.shift) / z

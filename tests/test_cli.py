@@ -96,6 +96,14 @@ def test_metrics_json_matches_library(capsys):
     assert payload["J"] == 1.0 and payload["T"] == 0.8
 
 
+def test_metrics_at_zero_temperature_in_an_overflowing_field(capsys):
+    for eta in ("1e155", "-1e155", "1e300", "-1e300"):
+        code, out, err = _run(capsys, ["metrics", f"--eta={eta}", "--T", "0", "--gamma", "0.5"])
+        assert code == 0, err
+        payload = json.loads(out)
+        assert all(math.isfinite(payload[k]) for k in ("concurrence", "fef", "lambda1"))
+
+
 def test_state_rows_carry_unit_trace(capsys):
     code, out, _ = _run(capsys, ["state", "--T", "0.7", "--gamma", "0.3"])
     assert code == 0

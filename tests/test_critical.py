@@ -319,3 +319,23 @@ def test_array_margins_match_scalar_margins(J, gamma, eta, T):
         value = critical._scan_margins(kind, J, np.array([b]), np.array([r]), np.array([T]))[0]
         scalar = critical._MARGINS[kind](ChainParams(J=J, gamma=gamma, eta=eta, T=T))
         assert abs(value - scalar) <= 1e-15
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(
+    J=st.floats(1e-3, 1e3),
+    gamma=st.floats(0.0, 1.0),
+    eta=st.floats(0.0, 1e3),
+    T=st.floats(1e-6, 1e6),
+)
+def test_kernel_margins_equal_public_margins(J, gamma, eta, T):
+    # the bisection's route: inputs checked once, the kernels at beta = 1/T
+    T = max(T, 1e-6 * J)
+    b = math.hypot(eta, gamma) * J
+    for kind in (1, 2, 3):
+        public = critical._MARGINS[kind](ChainParams(J=J, gamma=gamma, eta=eta, T=T))
+        kernel, excess = critical._KERNEL_MARGINS[kind]
+        out = kernel(1.0 / T, b, J, gamma)
+        assert out is not None
+        assert excess(out) == public
+        assert critical._margin_at(kind, gamma, eta, J)(T) == public

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from helpers import random_ket
@@ -249,6 +251,22 @@ def test_measuring_the_other_assistant_is_equivalent():
                 closed = fidelity_closed_form(p, TeleportConfig(mu=mu))
                 sim_c = fidelity_simulated(p, TeleportConfig(mu=mu, measure_qubit="C"))
                 assert abs(closed.phi_closed - sim_c) <= 1e-9
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    J=st.builds(lambda sign, x: sign * x, st.sampled_from((1.0, -1.0)), st.floats(1e-3, 1e3)),
+    gamma=st.floats(-1.0, 1.0),
+    eta=st.floats(-1e3, 1e3),
+    T=st.one_of(st.just(0.0), st.floats(5e-324, 1e6)),
+    qubit=st.sampled_from(("B", "C")),
+    mu=st.floats(0.0, math.pi / 4.0),
+)
+def test_simulation_matches_closed_form_in_every_sign_sector(J, gamma, eta, T, qubit, mu):
+    # the closed form is sign-blind; the simulation rotates each pair into
+    # the J > 0, gamma >= 0 frame, for which the correction table is derived
+    result = evaluate(_params(J, gamma, eta, T), TeleportConfig(mu=mu, measure_qubit=qubit))
+    assert abs(result.phi_closed - result.phi_simulated) <= 1e-9
 
 
 def test_fidelity_increases_with_measurement_angle():

@@ -15,6 +15,7 @@ from xyswap import qcore
 from xyswap.teleport import fidelity_closed_form
 from xyswap.xychain import (
     ChainParams,
+    ground_region,
     ground_state,
     hamiltonian,
     pair_metrics,
@@ -432,6 +433,55 @@ def test_scaled_hyperbolics_moderate_beta():
     assert h.sh_b == pytest.approx(math.sinh(0.77) * s, rel=1e-14)
     assert h.ch_j == pytest.approx(math.cosh(0.28) * s, rel=1e-14)
     assert h.sh_j == pytest.approx(math.sinh(0.28) * s, rel=1e-14)
+
+
+def test_ground_limits_at_overflowing_fields():
+    # eta**2 overflows above ~1.34e154; the T = 0 limits must not square it
+    for eta in (1e155, -1e155, 1e300, -1e300):
+        for J, gamma in ((1.0, 0.0), (-2.0, 0.5), (0.5, -1.0)):
+            p = _params(J, gamma, eta, 0.0)
+            assert ground_region(p)[0] == "field"
+            m = pair_metrics(p)
+            f = fidelity_closed_form(p)
+            rho = ground_state(p)
+            values = (*m.lambdas, m.concurrence, m.fef, f.c1, f.c2, f.phi_closed)
+            assert all(math.isfinite(v) for v in values)
+            assert np.all(np.isfinite(rho))
+            assert 0.0 <= m.concurrence <= 1.0
+            assert 0.25 <= m.fef <= 1.0
+            assert 0.5 <= f.phi_closed <= 1.0
+            assert np.trace(rho).real == pytest.approx(1.0, abs=1e-15)
+    # the largest eta whose square is finite keeps the squared classifier
+    eta = math.sqrt(sys.float_info.max)
+    assert ground_region(_params(1.0, 0.5, eta, 0.0)) == ("field", eta**2 + 0.25)
+
+
+def _eight_exponential_hyperbolics(beta, b_script, j_abs):
+    """The scaled hyperbolics with two exponentials per member."""
+    if beta == math.inf:
+        return None
+    xb = beta * b_script
+    xj = beta * j_abs
+    m = max(xb, xj)
+    if m == math.inf:
+        return None
+    ch = lambda x: 0.5 * (math.exp(x - m) + math.exp(-x - m))
+    sh = lambda x: 0.5 * (math.exp(x - m) - math.exp(-x - m))
+    return (ch(xb), ch(xj), sh(xb), sh(xj), m)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(
+    J=st.builds(lambda sign, x: sign * x, st.sampled_from((1.0, -1.0)), st.floats(1e-3, 1e3)),
+    gamma=st.floats(-1.0, 1.0),
+    eta=st.floats(-1e3, 1e3),
+    T=st.floats(5e-324, 1e6),
+)
+def test_scaled_hyperbolics_equal_the_eight_exponential_form(J, gamma, eta, T):
+    p = _params(J, gamma, eta, T)
+    h = scaled_hyperbolics(p.beta, p.b_script, abs(p.J))
+    expected = _eight_exponential_hyperbolics(p.beta, p.b_script, abs(p.J))
+    assert (h if h is None else tuple(h)) == expected
 
 
 # ---------------------------------------------------------------------------
