@@ -9,18 +9,20 @@ root in temperature of a signed margin:
 
 Each margin is positive below its critical temperature and negative above
 it, so a descending scan finds the largest root; that bracket is then
-bisected.  The scan evaluates array forms of the closed forms, all etas of
-a sweep that share a ceiling at once, in numpy passes of fixed size; the
-bisection evaluates the scalar closed forms through their kernels, with
-the inputs checked once per sweep.  For gamma > 0 the thresholds grow
-roughly linearly in eta, and the scan ceiling follows the large-eta
-asymptote so the root never escapes the scanned window.
+bisected.  All etas of a sweep are solved on one array path of numpy
+passes of fixed size: the crossing rules run on whole passes of array
+margins, and the bisection steps all brackets in lockstep on them.  Array
+margins near zero are rechecked by the scalar closed forms, through their
+kernels with the inputs checked once per sweep, so every sign is the
+scalar one.  For gamma > 0 the thresholds grow roughly linearly in eta,
+and the scan ceiling follows the large-eta asymptote so the root never
+escapes the scanned window.
 """
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
-from itertools import chain, islice
 
 import numpy as np
 
@@ -207,122 +209,177 @@ def _scan_margins(kind, j, b, r, t):
     return 2.0 * top - total
 
 
-def _scan_grid(t_hi, step, floor):
-    """The scan temperatures in chunks: t_hi, then repeated subtraction of
-    step, the first value at or below the floor replaced by the floor and
-    ending the scan.  Yields (ts, n): an array of _SCAN_BLOCK values of
-    which the first n belong to the scan."""
-    acc = np.full(_SCAN_BLOCK, step)
+class _Sweep:
+    """A sweep's margins on numpy passes of exactly _SCAN_BLOCK lanes, each
+    an eta index (`rows`) and a temperature; padding repeats real lanes."""
+
+    def __init__(self, kind, gamma, etas, j):
+        self.kind, self.j = kind, j
+        terms = [_field_terms(gamma, eta, j) for eta in etas]
+        self.b, self.r = np.array([b for b, _ in terms]), np.array([r for _, r in terms])
+        self.scalar = [_margin_at(kind, gamma, eta, j) for eta in etas]
+
+    def margins(self, rows, t):
+        return _scan_margins(self.kind, self.j, self.b[rows], self.r[rows], t)
+
+    def settle(self, values, rows, t, size):
+        """The values, those of the first `size` lanes that lie within
+        _SCAN_RECHECK of zero, or are NaN (B / T overflows), recomputed by
+        the scalar kernels, so that their signs are the scalar ones."""
+        near = ~(np.abs(values) > _SCAN_RECHECK)  # NaN fails the comparison
+        for p in np.flatnonzero(near[:size]).tolist():
+            values[p] = self.scalar[rows[p]](float(t[p]))
+        return values
+
+
+def _scan(sweep, live, signs, t_hi, step, floor, crossings, first):
+    """Carry the scans of the etas `live` (at most _SCAN_BLOCK), which share
+    the ceiling t_hi and have the given margin signs there, down the grid
+    t_hi - step, t_hi - 2 step, ... (repeated subtraction), whose first
+    point at or below the floor is the floor and the last: count each
+    eta's crossings and keep its first upward bracket (T, previous T).  A
+    pass holds whole grid columns, lane c * len(live) + e being eta e at
+    column c, so each lane's previous point lies len(live) lanes back, and
+    the last column of a pass carries into the next."""
+    count = len(live)
+    columns = _SCAN_BLOCK // count
+    rows = np.resize(np.array(live), _SCAN_BLOCK)
+    column = np.arange(count, count + _SCAN_BLOCK) // count  # of each lane, from 1
+    acc = np.full(_SCAN_BLOCK + 1, step)
     acc[0] = t_hi
-    head = 1  # the ceiling itself is never clamped
     while True:
-        ts = np.subtract.accumulate(acc)
-        low = np.flatnonzero(ts[head:] <= floor)
+        ts = np.subtract.accumulate(acc)  # the previous column, then this pass's
+        low = np.flatnonzero((ts[1:] <= floor)[:columns])
+        width = int(low[0]) + 1 if low.size else columns
         if low.size:
-            n = head + int(low[0]) + 1
-            ts[n - 1] = floor
-            yield ts, n
+            ts[width] = floor
+        k = np.minimum(column, width)
+        t = ts[k]
+        f_sign = np.sign(sweep.settle(sweep.margins(rows, t), rows, t, width * count))
+        f_prev = np.concatenate((signs, f_sign[:-count]))
+        # strict sign on the current point, so margins that merely
+        # underflow to exact zero near T = 0 do not count as crossings
+        for p in np.flatnonzero(((f_sign != f_prev) & (f_sign != 0.0))[:width * count]).tolist():
+            i = rows[p]
+            crossings[i] += 1
+            if first[i] is None and f_sign[p] > 0.0:
+                first[i] = (float(t[p]), float(ts[k[p] - 1]))
+        if low.size:
             return
-        yield ts, _SCAN_BLOCK
-        acc[0] = ts[-1] - step
-        head = 0
+        signs = f_sign[(columns - 1) * count:columns * count]
+        acc[0] = ts[columns]
 
 
-class _Scan:
-    """Descending scan of one margin: its value at the ceiling, the last
-    point, the crossing count and the first (largest) upward bracket."""
+@functools.cache
+def _tree(depth):
+    """Lane tables for `depth` bisection steps of each bracket slot at once,
+    its 2**depth - 1 midpoints in heap order: each lane's slot, each slot's
+    first lane, each lane's lower and upper child (clamped to the last
+    lane), and per step after the first the lanes whose path takes the
+    upper half there (lo = mid), then those taking the lower (hi = mid)."""
+    size = 2**depth - 1
+    heap = [(lane // size, lane % size + 1) for lane in range(_SCAN_BLOCK)]  # (slot, node from 1)
+    turns = []
+    for step in range(1, depth):
+        # node q, of q.bit_length() levels, turns at `step` by that bit of q
+        bits = [q >> q.bit_length() - 1 - step & 1 if q.bit_length() > step else None for _, q in heap]
+        turns.append((np.array([b == 1 for b in bits]), np.array([b == 0 for b in bits])))
 
-    __slots__ = ("f", "f_hi", "t_prev", "f_prev", "crossings", "first")
+    def lanes(values):
+        return np.array([min(v, _SCAN_BLOCK - 1) for v in values])
 
-    def __init__(self, f):
-        self.f = f
-        self.f_hi = None
-        self.crossings = 0
-        self.first = None
-
-    def feed(self, points):
-        """Carry the scan on over an iterator of (T, array margin) pairs;
-        margins within _SCAN_RECHECK of zero are recomputed by `f`."""
-        f = self.f
-        if self.f_hi is None:
-            t, value = next(points)
-            self.t_prev = t
-            self.f_hi = self.f_prev = value if value > _SCAN_RECHECK or value < -_SCAN_RECHECK else f(t)
-        if self.f_hi > 0.0:
-            # the scan ends at a ceiling that leaves the margin positive
-            for _ in points:
-                pass
-            return
-        t_prev, f_prev, crossings, first = self.t_prev, self.f_prev, self.crossings, self.first
-        for t, f_cur in points:
-            # NaN fails both comparisons, so it is recomputed too
-            if not (f_cur > _SCAN_RECHECK or f_cur < -_SCAN_RECHECK):
-                f_cur = f(t)
-            # strict sign on the current point, so margins that merely
-            # underflow to exact zero near T = 0 do not count as crossings
-            upward = f_prev <= 0.0 < f_cur
-            if upward or f_prev >= 0.0 > f_cur:
-                crossings += 1
-                if first is None and upward:
-                    first = (t, t_prev)
-            t_prev, f_prev = t, f_cur
-        self.t_prev, self.f_prev, self.crossings, self.first = t_prev, f_prev, crossings, first
+    lower = lanes(s * size + 2 * q - 1 for s, q in heap)
+    upper = lanes(s * size + 2 * q for s, q in heap)
+    return lanes(s for s, _ in heap), lanes(s * size for s in range(_SCAN_BLOCK)), lower, upper, turns
 
 
-def _margin_passes(kind, j, gamma, etas, ts, n):
-    """Array margins at (eta, ts[k]) for each eta in turn and k < n, as
-    lists from numpy passes of exactly _SCAN_BLOCK points, the last one
-    padded, so that every pass allocates the same sizes."""
-    b, r = np.array([_field_terms(gamma, eta, j) for eta in etas]).T
-    for start in range(0, len(etas) * n, _SCAN_BLOCK):
-        point = np.arange(start, start + _SCAN_BLOCK)
-        row = np.minimum(point // n, len(etas) - 1)
-        # where B / T overflows the values are NaN, and the scalar forms decide
-        with np.errstate(all="ignore"):
-            yield _scan_margins(kind, j, b[row], r[row], ts[point % n]).tolist()
+def _bisect(sweep, first, width):
+    """Each bracket of `first` (None where there is none) narrowed until
+    hi - lo <= width by mid = 0.5 * (lo + hi) and the sign of the margin
+    there, as a scalar bisection narrows it, all etas in lockstep.  A pass
+    takes up to _SCAN_BLOCK open brackets and the midpoints of the next
+    `depth` steps of each, depth as large as the pass allows, each formed
+    along its own path with the scalar arithmetic; descending the steps by
+    their signs then reads, and rechecks, the midpoints the scalar loop
+    reads."""
+    lo_all = np.array([math.nan if b is None else b[0] for b in first])
+    hi_all = np.array([math.nan if b is None else b[1] for b in first])
+    while open_ := np.flatnonzero(hi_all - lo_all > width)[:_SCAN_BLOCK].tolist():
+        count = len(open_)
+        slot, at, lower, upper, turns = _tree((_SCAN_BLOCK // count + 1).bit_length() - 1)
+        rows = np.array(open_ + open_[-1:] * (_SCAN_BLOCK - count))
+        lo, hi = lo_all[rows], hi_all[rows]
+        hi[count:] = lo[count:]  # padded slots hold an empty bracket
+        t_lo, t_hi = lo[slot], hi[slot]
+        for to_upper, to_lower in turns:
+            mid = 0.5 * (t_lo + t_hi)
+            np.copyto(t_lo, mid, where=to_upper)
+            np.copyto(t_hi, mid, where=to_lower)
+        values = sweep.margins(rows[slot], 0.5 * (t_lo + t_hi))
+        for _ in range(len(turns) + 1):
+            mid = 0.5 * (lo + hi)
+            positive = sweep.settle(values[at], rows, mid, count) > 0.0
+            wide = hi - lo > width
+            np.copyto(lo, mid, where=wide & positive)
+            np.copyto(hi, mid, where=wide & ~positive)
+            at = np.where(positive, upper[at], lower[at])
+        lo_all[open_], hi_all[open_] = lo[:count], hi[:count]
+    brackets = zip(lo_all.tolist(), hi_all.tolist())
+    return [None if b is None else bracket for b, bracket in zip(first, brackets)]
 
 
 def _solve(kind, gamma, etas, j, t_his):
-    """Roots of one margin kind at each (eta, scan ceiling) pair.
+    """Roots of one margin kind at each (eta, scan ceiling) pair, on one
+    array path of numpy passes of exactly _SCAN_BLOCK values (`_Sweep`),
+    which keeps memory bounded and flat for any ceiling and sweep.
 
-    Etas that share a ceiling share one scan grid, and the margins on it
-    are evaluated in numpy passes of bounded size, so memory stays bounded
-    for any ceiling.  The crossing rules and the bisection then run per eta
-    on the scalar closed-form kernels.
+    First the margins at all ceilings: an eta whose margin is positive
+    there stops.  Then the descending scans of the other etas, those that
+    share a ceiling on one grid, with the crossing rules applied to whole
+    passes of array margins (`_scan`).  Then the bisection of every first
+    upward bracket, all etas in lockstep on the array margins (`_bisect`).
+    Every margin the rules and the bisection read that lies within
+    _SCAN_RECHECK of zero, or is NaN, is rechecked by the scalar kernels,
+    so each sign, bracket, root and warning is the one a point-by-point
+    scalar solver gives.
     """
     floor = _T_FLOOR_OVER_J * j
     step = _SCAN_STEP_OVER_J * j
-    scans = [_Scan(_margin_at(kind, gamma, eta, j)) for eta in etas]
-    groups = {}
-    for i, t_hi in enumerate(t_his):
-        groups.setdefault(t_hi, []).append(i)
-    for t_hi, members in groups.items():
-        for ts, n in _scan_grid(t_hi, step, floor):
-            live = [i for i in members if scans[i].f_hi is None or scans[i].f_hi <= 0.0]
-            if not live:
-                break
-            t_list = ts.tolist()
-            values = chain.from_iterable(
-                _margin_passes(kind, j, gamma, [etas[i] for i in live], ts, n)
-            )
-            for i in live:
-                # islice comes first, so zip takes exactly n values per eta
-                scans[i].feed(zip(islice(t_list, n), values))
-    return [_root(kind, gamma, eta, j, t_hi, floor, scan) for eta, t_hi, scan in zip(etas, t_his, scans)]
+    sweep = _Sweep(kind, gamma, etas, j)
+    crossings, first, f_hi = [0] * len(etas), [None] * len(etas), np.empty(len(etas))
+    with np.errstate(all="ignore"):
+        for start in range(0, len(etas), _SCAN_BLOCK):
+            rows = np.minimum(np.arange(start, start + _SCAN_BLOCK), len(etas) - 1)
+            t = np.array(t_his)[rows]
+            size = len(etas) - start
+            f_hi[start:start + _SCAN_BLOCK] = sweep.settle(sweep.margins(rows, t), rows, t, size)[:size]
+        groups = {}
+        for i, t_hi in enumerate(t_his):
+            if not f_hi[i] > 0.0:  # a ceiling that leaves the margin positive ends the scan
+                groups.setdefault(t_hi, []).append(i)
+        for t_hi, members in groups.items():
+            for start in range(0, len(members), _SCAN_BLOCK):
+                live = members[start:start + _SCAN_BLOCK]
+                _scan(sweep, live, np.sign(f_hi[live]), t_hi, step, floor, crossings, first)
+        brackets = _bisect(sweep, first, _BRACKET_WIDTH_OVER_J * j)
+    return [
+        _root(kind, gamma, eta, j, t_hi, floor, *state)
+        for eta, t_hi, state in zip(etas, t_his, zip(f_hi.tolist(), crossings, brackets))
+    ]
 
 
-def _root(kind, gamma, eta, j, t_hi, floor, scan):
-    """The result of one finished scan: its warnings, then the bisection."""
-    f = scan.f
-    if scan.f_hi > 0.0:
+def _root(kind, gamma, eta, j, t_hi, floor, f_hi, crossings, bracket):
+    """The result of one eta's scan and bisected bracket: the T = 0
+    fallback where the scan found no bracket, and the warnings."""
+    if f_hi > 0.0:
         logger.warning(
             "kind %d margin still positive at scan ceiling T = %.6g (gamma=%g, eta=%g)",
             kind, t_hi, gamma, eta,
         )
         return CriticalResult(kind, gamma, eta, math.nan, None, False)
 
-    if scan.first is None:
-        m0 = f(0.0)
+    if bracket is None:
+        m0 = _margin_at(kind, gamma, eta, j)(0.0)
         if m0 <= 0.0:
             return CriticalResult(kind, gamma, eta, 0.0, (0.0, 0.0), True)
         logger.warning(
@@ -331,20 +388,13 @@ def _root(kind, gamma, eta, j, t_hi, floor, scan):
         )
         return CriticalResult(kind, gamma, eta, math.nan, None, False)
 
-    if scan.crossings > 1:
+    if crossings > 1:
         logger.warning(
             "kind %d margin crosses zero %d times (gamma=%g, eta=%g); keeping the largest root",
-            kind, scan.crossings, gamma, eta,
+            kind, crossings, gamma, eta,
         )
 
-    lo, hi = scan.first
-    width = _BRACKET_WIDTH_OVER_J * j
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = bracket
     root = 0.5 * (lo + hi)
     return CriticalResult(kind, gamma, eta, root / j, (lo / j, hi / j), True)
 

@@ -159,7 +159,9 @@ def spectrum(params):
     The {|01>, |10>} block always diagonalizes into the triplet/singlet
     combinations with energies +-J.  The {|00>, |11>} block has energies
     +-B; its eigenvectors are computed with the cancellation-free form of
-    B -+ b_field (their product equals (gamma J)^2).
+    B -+ b_field (their product equals (gamma J)^2).  The kets depend only
+    on the ratios of B, b_field and gamma J, so where (gamma J)^2 would
+    underflow the three are first scaled by an exact power of two.
     """
     big_b = params.b_script
     bm = params.b_field
@@ -171,11 +173,16 @@ def spectrum(params):
         else:
             k0, k3 = _basis_ket(3), _basis_ket(0)
     else:
+        field = big_b
+        if gj * gj < sys.float_info.min:
+            # gamma J scaled near 1, or B up to 2**1021 where B / gamma J is larger
+            shift = max(0, min(-math.frexp(gj)[1], 1021 - math.frexp(big_b)[1]))
+            field, bm, gj = (math.ldexp(x, shift) for x in (big_b, bm, gj))
         if bm >= 0.0:
-            bplus = big_b + bm
+            bplus = field + bm
             bminus = gj * gj / bplus
         else:
-            bminus = big_b - bm
+            bminus = field - bm
             bplus = gj * gj / bminus
         k0 = _field_block_ket(bplus, gj)
         k3 = _field_block_ket(bminus, -gj)
@@ -202,7 +209,9 @@ def thermal_state(params):
     if max(spec.energies) / params.T == math.inf:
         return ground_state(params)
     exponents = -np.array(spec.energies) / params.T
-    weights = np.exp(exponents - exponents.max())
+    # where twice max(B, |J|)/T overflows the smallest weight is exp(-inf) = 0
+    with np.errstate(over="ignore"):
+        weights = np.exp(exponents - exponents.max())
     weights /= weights.sum()
     rho = np.zeros((4, 4), dtype=complex)
     for w, ket in zip(weights, spec.kets):

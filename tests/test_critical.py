@@ -241,6 +241,8 @@ _SWEEPS = (
     + [(kind, 0.4, [0.0, 0.5, 1.0, 1.5, 3.0, 50.0], j) for j in (0.37, 2.0) for kind in (1, 2, 3)]
     # roots below the scan floor
     + [(kind, 0.003, [1.0], 1.0) for kind in (2, 3)]
+    # more etas than one pass holds, scanned and bisected in several blocks
+    + [(1, 0.3, list(np.linspace(0.0, 2.0, 300)), 1.0)]
 )
 
 
@@ -285,11 +287,43 @@ def test_ulp_noise_in_array_margins_moves_no_root(monkeypatch):
         return values + 1e-15 * np.where(np.arange(values.size) % 2, 1.0, -1.0)
 
     monkeypatch.setattr(critical, "_scan_margins", noisy)
-    for gamma in (0.0, 1.0):
+    etas = _FIG1_ETAS + _TAIL_ETAS
+    for gamma in (0.0, 0.3, 1.0):
         for kind in (1, 2, 3):
-            got = sweep(kind, gamma, _FIG1_ETAS)
-            want = [reference_critical(kind, gamma, float(eta))[0] for eta in _FIG1_ETAS]
+            got = sweep(kind, gamma, etas)
+            want = [reference_critical(kind, gamma, float(eta))[0] for eta in etas]
             assert [repr(r) for r in got] == [repr(r) for r in want]
+
+
+def _logged(solve):
+    """The value of solve() and the messages it logged to xyswap.critical."""
+    messages = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = lambda record: messages.append(record.getMessage())
+    log = logging.getLogger("xyswap.critical")
+    log.addHandler(handler)
+    try:
+        return solve(), messages
+    finally:
+        log.removeHandler(handler)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    kind=st.sampled_from([1, 2, 3]),
+    gamma=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.003, 0.3, 0.6, 1.0])),
+    j=st.sampled_from([0.37, 1.0, 2.0]),
+    etas=st.lists(st.one_of(st.sampled_from(_FIG1_ETAS), st.floats(2.0, 200.0)), max_size=16).flatmap(
+        # eta = 1.0 lies below the floor at gamma = 0.003; 0.8 at gamma = 0.6
+        # and 1.2 at gamma = 0 (kind 2) take the T = 0 fallback
+        lambda etas: st.permutations(etas + [1.0, 0.8, 1.2])
+    ),
+)
+def test_random_sweeps_match_reference_solver(kind, gamma, j, etas):
+    # fig1-grid etas share the 5 J ceiling, tail etas each have their own,
+    # so the scans, rechecks and lockstep bisection mix within one sweep
+    got, messages = _logged(lambda: sweep(kind, gamma, etas, J=j))
+    _assert_same_roots(got, messages, [reference_critical(kind, gamma, float(eta), J=j) for eta in etas])
 
 
 def test_scan_memory_stays_bounded_for_a_high_ceiling():

@@ -3,6 +3,7 @@ ground state and the closed-form pair metrics."""
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -151,6 +152,19 @@ def test_spectrum_cancellation_free_at_large_field():
     assert_allclose(mat.conj().T @ mat, np.eye(4), atol=1e-13)
 
 
+@pytest.mark.parametrize("gamma, eta", [(1e-200, 1e-200), (1e-160, 0.0)])
+def test_field_block_exact_where_anisotropy_squared_underflows(gamma, eta):
+    # (gamma J)^2 underflows below |gamma J| ~ 1e-154: the field-block kets
+    # must stay orthogonal and the Gibbs state must match the closed forms
+    p = _params(J=1.0, gamma=gamma, eta=eta, T=0.5)
+    kets = spectrum(p).kets
+    assert abs(np.vdot(kets[0], kets[3])) <= 1e-15
+    rho = thermal_state(p)
+    m = pair_metrics(p)
+    assert abs(qcore.wootters_concurrence(rho) - m.concurrence) <= 1e-10
+    assert abs(qcore.bell_fraction(rho) - m.fef) <= 1e-10
+
+
 def test_partition_log_matches_direct_sum():
     p = _params(J=1.0, gamma=0.5, eta=0.4, T=0.8)
     spec = spectrum(p)
@@ -201,6 +215,15 @@ def test_thermal_state_survives_extreme_cold():
     rho = thermal_state(_params(J=1.0, gamma=0.5, eta=0.3, T=1e-8))
     assert np.all(np.isfinite(rho))
     qcore.validate_density(rho)
+
+
+def test_thermal_state_silent_where_the_exponent_spread_overflows():
+    # max(B, |J|) / T is finite but the spread of the exponents is not; the
+    # smallest weight is then exactly 0, with no floating-point warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rho = thermal_state(_params(J=1.0, gamma=0.5, eta=0.0, T=1e-308))
+    assert_allclose(rho, qcore.ket_density(qcore.bell_ket(2)), atol=1e-15)
 
 
 def test_ground_weight_grows_on_cooling():
