@@ -46,6 +46,7 @@ _SCAN_STEP_OVER_J = 0.05
 _BRACKET_WIDTH_OVER_J = 1e-8
 _SCAN_BLOCK = 256  # margin values per numpy pass, which bounds the scan's memory
 _SCAN_RECHECK = 1e-13  # array margins this close to zero, or NaN, are recomputed by the scalar forms
+_LANES = np.arange(_SCAN_BLOCK)
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,7 @@ def t2_asymptote(gamma, eta, J=1.0):
     _check_domain(gamma, eta, J)
     if gamma == 0.0:
         raise ValueError("asymptote requires gamma > 0")
-    den = math.log(eta) - math.log(gamma) + math.log(2.0)
+    den = math.log(eta) - math.log(gamma) + math.log(2.0) if eta > 0.0 else 0.0
     if den <= 0.0:
         raise ValueError("asymptote requires 2 eta > gamma")
     return eta * J / den
@@ -89,7 +90,7 @@ def t3_asymptote(gamma, eta, J=1.0):
     _check_domain(gamma, eta, J)
     if gamma == 0.0:
         raise ValueError("asymptote requires gamma > 0")
-    den = 3.0 * (math.log(eta) - math.log(gamma)) + math.log(2.0)
+    den = 3.0 * (math.log(eta) - math.log(gamma)) + math.log(2.0) if eta > 0.0 else 0.0
     if den <= 0.0:
         raise ValueError("asymptote requires 2 eta**3 > gamma**3")
     return eta * J / den
@@ -171,64 +172,70 @@ def _margin_at(kind, gamma, eta, j):
 
 def _scan_margins(kind, j, b, r, t):
     """Array form of the kind's margin at temperatures t > 0 for J > 0,
-    with b and r from `_field_terms`, all broadcast together.
+    with b and r from `_field_terms`: b, r and t are arrays of one shape.
 
     Follows `pair_metrics` and `fidelity_closed_form` on their scaled
-    hyperbolic branch.  numpy's exp can differ from the math module's by an
-    ulp, so the values agree within 1e-15, not bit for bit; the scan
-    recomputes points near zero with the scalar forms.
+    hyperbolic branch, with the same exponentials exp(+-beta B - shift)
+    and exp(+-beta J - shift), shift = max(beta B, beta J), and forms only
+    the terms the kind needs, in products instead of powers.  numpy's exp
+    can differ from the math module's by an ulp, and the products round
+    differently, so the values agree within 1e-15, not bit for bit; the
+    solver recomputes values near zero with the scalar forms.
     """
     beta = 1.0 / t
     xb = beta * b
     xj = beta * j
-    m = np.maximum(xb, xj)
-    eb_hi, eb_lo = np.exp(xb - m), np.exp(-xb - m)
-    ej_hi, ej_lo = np.exp(xj - m), np.exp(-xj - m)
-    ch_b, sh_b = 0.5 * (eb_hi + eb_lo), 0.5 * (eb_hi - eb_lo)
-    ch_j, sh_j = 0.5 * (ej_hi + ej_lo), 0.5 * (ej_hi - ej_lo)
+    shift = np.maximum(xb, xj)
+    minus = -shift
+    eb_hi, ej_hi = np.exp(xb - shift), np.exp(xj - shift)
+    eb_lo, ej_lo = np.exp(minus - xb), np.exp(minus - xj)
+    # twice the scaled cosh and sinh of beta B
+    cb, sb = eb_hi + eb_lo, eb_hi - eb_lo
     if kind == 3:
-        den = ch_b + ch_j
-        c1 = 2.0 * (ch_b**2 + ch_b * ch_j + ch_j**2) / (3.0 * den**2)
-        c2 = (
-            2.0
-            * (sh_j**3 + r * sh_j**2 * sh_b + r**2 * sh_j * sh_b**2 + r**3 * sh_b**3)
-            / (3.0 * den**3)
-        )
-        return c1 + 0.5 * c2 - 2.0 / 3.0
-    z = 2.0 * (ch_b + ch_j)
-    lam1 = ej_hi / z
+        cj, sj = ej_hi + ej_lo, ej_hi - ej_lo
+        den = cb + cj
+        rs = r * sb
+        c1 = (cb * den + cj * cj) / (den * den)  # 3 c1 / 2
+        c2 = (sj + rs) * (sj * sj + rs * rs) / (den * den * den)  # 3 c2 / 2
+        return (c1 + c1 + c2 - 2.0) / 3.0
+    z = cb + (ej_hi + ej_lo)
     if kind == 2:
-        return np.maximum(lam1, (ch_b + r * sh_b) / z) - 0.5
-    u = r * sh_b
-    root = np.hypot(np.exp(-m), u)
-    lam2, lam3, lam4 = ej_lo / z, (root + u) / z, (root - u) / z
-    # summed in descending order as pair_metrics does; lam1 >= lam2 and lam3 >= lam4
-    top, mid_a = np.maximum(lam1, lam3), np.minimum(lam1, lam3)
-    mid_b, bottom = np.maximum(lam2, lam4), np.minimum(lam2, lam4)
-    total = top + np.maximum(mid_a, mid_b) + np.minimum(mid_a, mid_b) + bottom
-    return 2.0 * top - total
+        return np.maximum(ej_hi, 0.5 * (cb + r * sb)) / z - 0.5
+    u = 0.5 * (r * sb)
+    root = np.hypot(np.exp(minus), u)
+    # lam1 >= lam2 and lam3 >= lam4, so the largest is lam1 or lam3, and
+    # 2 max(lam1, lam3) - (lam1 + ... + lam4) = |lam1 - lam3| - lam2 - lam4
+    return (np.abs(ej_hi - (root + u)) - ej_lo - (root - u)) / z
+
+
+def _near(values, size):
+    """Which of the first `size` values lie within _SCAN_RECHECK of zero, or
+    are NaN (B / T overflows): those whose sign the scalar forms settle."""
+    return ~(np.abs(values[:size]) > _SCAN_RECHECK)  # NaN fails the comparison
 
 
 class _Sweep:
-    """A sweep's margins on numpy passes of exactly _SCAN_BLOCK lanes, each
-    an eta index (`rows`) and a temperature; padding repeats real lanes."""
+    """A sweep's per-eta constants and scalar margins, for numpy passes of
+    exactly _SCAN_BLOCK lanes, each an eta index (`rows`) and a
+    temperature; padding repeats real lanes."""
 
     def __init__(self, kind, gamma, etas, j):
-        self.kind, self.j = kind, j
+        self.kind, self.gamma, self.etas, self.j = kind, gamma, etas, j
         terms = [_field_terms(gamma, eta, j) for eta in etas]
         self.b, self.r = np.array([b for b, _ in terms]), np.array([r for _, r in terms])
-        self.scalar = [_margin_at(kind, gamma, eta, j) for eta in etas]
+        self.scalar = {}  # eta index -> its `_margin_at`, built at the eta's first recheck
 
     def margins(self, rows, t):
         return _scan_margins(self.kind, self.j, self.b[rows], self.r[rows], t)
 
-    def settle(self, values, rows, t, size):
-        """The values, those of the first `size` lanes that lie within
-        _SCAN_RECHECK of zero, or are NaN (B / T overflows), recomputed by
-        the scalar kernels, so that their signs are the scalar ones."""
-        near = ~(np.abs(values) > _SCAN_RECHECK)  # NaN fails the comparison
-        for p in np.flatnonzero(near[:size]).tolist():
-            values[p] = self.scalar[rows[p]](float(t[p]))
+    def settle(self, values, rows, t, lanes):
+        """The values, those of `lanes` (a list of lane indices) recomputed
+        by the scalar kernels, so that their signs are the scalar ones."""
+        for p in lanes:
+            i = int(rows[p])
+            if i not in self.scalar:
+                self.scalar[i] = _margin_at(self.kind, self.gamma, self.etas[i], self.j)
+            values[p] = self.scalar[i](float(t[p]))
         return values
 
 
@@ -243,40 +250,45 @@ def _scan(sweep, live, signs, t_hi, step, floor, crossings, first):
     the last column of a pass carries into the next."""
     count = len(live)
     columns = _SCAN_BLOCK // count
-    rows = np.resize(np.array(live), _SCAN_BLOCK)
+    rows = (live * (columns + 1))[:_SCAN_BLOCK]
+    b, r = sweep.b[rows], sweep.r[rows]  # gathered once for all passes
     column = np.arange(count, count + _SCAN_BLOCK) // count  # of each lane, from 1
     acc = np.full(_SCAN_BLOCK + 1, step)
     acc[0] = t_hi
+    sign = np.empty(count + _SCAN_BLOCK)  # the carried column's signs, then this pass's
+    sign[:count] = signs
     while True:
-        ts = np.subtract.accumulate(acc)  # the previous column, then this pass's
-        low = np.flatnonzero((ts[1:] <= floor)[:columns])
-        width = int(low[0]) + 1 if low.size else columns
-        if low.size:
+        ts = np.subtract.accumulate(acc)  # the carried column, then this pass's
+        last = ts[columns] <= floor
+        width, k = columns, column
+        if last:
+            width = int((ts[1:columns + 1] <= floor).nonzero()[0][0]) + 1
             ts[width] = floor
-        k = np.minimum(column, width)
+            k = np.minimum(column, width)
+        size = width * count
         t = ts[k]
-        f_sign = np.sign(sweep.settle(sweep.margins(rows, t), rows, t, width * count))
-        f_prev = np.concatenate((signs, f_sign[:-count]))
+        values = _scan_margins(sweep.kind, sweep.j, b, r, t)
+        current = np.sign(sweep.settle(values, rows, t, _near(values, size).nonzero()[0].tolist()), out=sign[count:])
         # strict sign on the current point, so margins that merely
         # underflow to exact zero near T = 0 do not count as crossings
-        for p in np.flatnonzero(((f_sign != f_prev) & (f_sign != 0.0))[:width * count]).tolist():
+        for p in ((current != sign[:_SCAN_BLOCK]) & (current != 0.0))[:size].nonzero()[0].tolist():
             i = rows[p]
             crossings[i] += 1
-            if first[i] is None and f_sign[p] > 0.0:
+            if first[i] is None and current[p] > 0.0:
                 first[i] = (float(t[p]), float(ts[k[p] - 1]))
-        if low.size:
+        if last:
             return
-        signs = f_sign[(columns - 1) * count:columns * count]
+        sign[:count] = current[size - count:size]
         acc[0] = ts[columns]
 
 
 @functools.cache
 def _tree(depth):
     """Lane tables for `depth` bisection steps of each bracket slot at once,
-    its 2**depth - 1 midpoints in heap order: each lane's slot, each slot's
-    first lane, each lane's lower and upper child (clamped to the last
-    lane), and per step after the first the lanes whose path takes the
-    upper half there (lo = mid), then those taking the lower (hi = mid)."""
+    its size = 2**depth - 1 midpoints in heap order: the size, each lane's
+    slot, each lane's lower and upper child (clamped to the last lane), and
+    per step after the first the lanes whose path takes the upper half
+    there (lo = mid), then those taking the lower (hi = mid)."""
     size = 2**depth - 1
     heap = [(lane // size, lane % size + 1) for lane in range(_SCAN_BLOCK)]  # (slot, node from 1)
     turns = []
@@ -290,7 +302,7 @@ def _tree(depth):
 
     lower = lanes(s * size + 2 * q - 1 for s, q in heap)
     upper = lanes(s * size + 2 * q for s, q in heap)
-    return lanes(s for s, _ in heap), lanes(s * size for s in range(_SCAN_BLOCK)), lower, upper, turns
+    return size, np.array([s for s, _ in heap]), lower, upper, turns
 
 
 def _bisect(sweep, first, width):
@@ -299,31 +311,43 @@ def _bisect(sweep, first, width):
     there, as a scalar bisection narrows it, all etas in lockstep.  A pass
     takes up to _SCAN_BLOCK open brackets and the midpoints of the next
     `depth` steps of each, depth as large as the pass allows, each formed
-    along its own path with the scalar arithmetic; descending the steps by
-    their signs then reads, and rechecks, the midpoints the scalar loop
-    reads."""
+    along its own path with the scalar arithmetic.  Each bracket then
+    follows the signs down its tree by indexing only, and stays where it
+    is no wider than `width`, so it reads the midpoints the scalar loop
+    reads; of those, the ones near zero are rechecked and the descent
+    repeated, until every sign it read is settled."""
     lo_all = np.array([math.nan if b is None else b[0] for b in first])
     hi_all = np.array([math.nan if b is None else b[1] for b in first])
-    while open_ := np.flatnonzero(hi_all - lo_all > width)[:_SCAN_BLOCK].tolist():
-        count = len(open_)
-        slot, at, lower, upper, turns = _tree((_SCAN_BLOCK // count + 1).bit_length() - 1)
-        rows = np.array(open_ + open_[-1:] * (_SCAN_BLOCK - count))
-        lo, hi = lo_all[rows], hi_all[rows]
-        hi[count:] = lo[count:]  # padded slots hold an empty bracket
-        t_lo, t_hi = lo[slot], hi[slot]
+    while (open_ := (hi_all - lo_all > width).nonzero()[0][:_SCAN_BLOCK]).size:
+        count = open_.size
+        size, slot, lower, upper, turns = _tree((_SCAN_BLOCK // count + 1).bit_length() - 1)
+        rows = open_[np.minimum(slot, count - 1)]  # padding slots repeat the last bracket
+        t_lo, t_hi = lo_all[rows], hi_all[rows]
         for to_upper, to_lower in turns:
             mid = 0.5 * (t_lo + t_hi)
             np.copyto(t_lo, mid, where=to_upper)
             np.copyto(t_hi, mid, where=to_lower)
-        values = sweep.margins(rows[slot], 0.5 * (t_lo + t_hi))
-        for _ in range(len(turns) + 1):
-            mid = 0.5 * (lo + hi)
-            positive = sweep.settle(values[at], rows, mid, count) > 0.0
-            wide = hi - lo > width
-            np.copyto(lo, mid, where=wide & positive)
-            np.copyto(hi, mid, where=wide & ~positive)
-            at = np.where(positive, upper[at], lower[at])
-        lo_all[open_], hi_all[open_] = lo[:count], hi[:count]
+        t = 0.5 * (t_lo + t_hi)
+        values = sweep.margins(rows, t)
+        near = _near(values, count * size)
+        wide = t_hi - t_lo > width
+        while True:
+            positive = values > 0.0
+            # each lane's next lane: its child by the sign, or itself where
+            # the bracket is no wider than `width`, and the scalar loop stops
+            after = np.where(wide, np.where(positive, upper, lower), _LANES)
+            path = [_LANES[:count * size:size]]  # the slots' roots
+            for _ in turns:
+                path.append(after[path[-1]])
+            read = np.concatenate(path)
+            stale = read[near[read].nonzero()[0]].tolist()
+            if not stale:
+                break
+            stale = list(set(stale))  # the descent reads a lane again where it stays
+            sweep.settle(values, rows, t, stale)
+            near[stale] = False
+        lo_all[open_] = np.where(wide & positive, t, t_lo)[path[-1]]
+        hi_all[open_] = np.where(wide & ~positive, t, t_hi)[path[-1]]
     brackets = zip(lo_all.tolist(), hi_all.tolist())
     return [None if b is None else bracket for b, bracket in zip(first, brackets)]
 
@@ -346,25 +370,26 @@ def _solve(kind, gamma, etas, j, t_his):
     floor = _T_FLOOR_OVER_J * j
     step = _SCAN_STEP_OVER_J * j
     sweep = _Sweep(kind, gamma, etas, j)
-    crossings, first, f_hi = [0] * len(etas), [None] * len(etas), np.empty(len(etas))
+    crossings, first, f_hi = [0] * len(etas), [None] * len(etas), []
     with np.errstate(all="ignore"):
         for start in range(0, len(etas), _SCAN_BLOCK):
             rows = np.minimum(np.arange(start, start + _SCAN_BLOCK), len(etas) - 1)
             t = np.array(t_his)[rows]
             size = len(etas) - start
-            f_hi[start:start + _SCAN_BLOCK] = sweep.settle(sweep.margins(rows, t), rows, t, size)[:size]
+            values = sweep.margins(rows, t)
+            f_hi += sweep.settle(values, rows, t, _near(values, size).nonzero()[0].tolist())[:size].tolist()
         groups = {}
-        for i, t_hi in enumerate(t_his):
-            if not f_hi[i] > 0.0:  # a ceiling that leaves the margin positive ends the scan
+        for i, (t_hi, f) in enumerate(zip(t_his, f_hi)):
+            if not f > 0.0:  # a ceiling that leaves the margin positive ends the scan
                 groups.setdefault(t_hi, []).append(i)
         for t_hi, members in groups.items():
             for start in range(0, len(members), _SCAN_BLOCK):
                 live = members[start:start + _SCAN_BLOCK]
-                _scan(sweep, live, np.sign(f_hi[live]), t_hi, step, floor, crossings, first)
+                _scan(sweep, live, np.sign([f_hi[i] for i in live]), t_hi, step, floor, crossings, first)
         brackets = _bisect(sweep, first, _BRACKET_WIDTH_OVER_J * j)
     return [
         _root(kind, gamma, eta, j, t_hi, floor, *state)
-        for eta, t_hi, state in zip(etas, t_his, zip(f_hi.tolist(), crossings, brackets))
+        for eta, t_hi, state in zip(etas, t_his, zip(f_hi, crossings, brackets))
     ]
 
 

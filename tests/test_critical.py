@@ -166,6 +166,11 @@ def test_asymptote_domain():
         t2_asymptote(1.0, 0.4)  # 2 eta <= gamma
     with pytest.raises(ValueError):
         t3_asymptote(1.0, -1.0)
+    # zero field: the log would fail with a bare math domain error
+    with pytest.raises(ValueError, match="asymptote requires 2 eta > gamma"):
+        t2_asymptote(0.5, 0.0)
+    with pytest.raises(ValueError, match=r"asymptote requires 2 eta\*\*3 > gamma\*\*3"):
+        t3_asymptote(0.5, 0.0)
 
 
 def test_asymptotes_track_large_field_roots():
@@ -335,7 +340,14 @@ def test_scan_memory_stays_bounded_for_a_high_ceiling():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
-    assert repr(result) == repr(reference_critical(3, 0.5, 0.4, t_hi=5e4)[0])
+    # repr(reference_critical(3, 0.5, 0.4, t_hi=5e4)[0]) from tests/helpers.py,
+    # computed once, before the array passes were last reworked, and stored:
+    # that reference walks the 10^6 scan points one scalar closed form at a
+    # time, which takes ~10 s
+    assert repr(result) == (
+        "CriticalResult(kind=3, gamma=0.5, eta=0.4, t_over_j=0.4501122813810498, "
+        "bracket=(0.4501122784008176, 0.45011228436128203), converged=True)"
+    )
 
 
 @settings(max_examples=400, derandomize=True, deadline=None)
@@ -353,6 +365,32 @@ def test_array_margins_match_scalar_margins(J, gamma, eta, T):
         value = critical._scan_margins(kind, J, np.array([b]), np.array([r]), np.array([T]))[0]
         scalar = critical._MARGINS[kind](ChainParams(J=J, gamma=gamma, eta=eta, T=T))
         assert abs(value - scalar) <= 1e-15
+
+
+def _fig1_scan_temperatures():
+    """The temperatures of the shipped fig1 scan: its 5 J ceiling, then
+    repeated subtraction of 0.05 J, the first point at or below the floor
+    clamped to it."""
+    ts, t = [], 5.0
+    while t > critical._T_FLOOR_OVER_J:
+        ts.append(t)
+        t -= critical._SCAN_STEP_OVER_J
+    return ts + [critical._T_FLOOR_OVER_J]
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("kind", [1, 2, 3])
+def test_array_margins_match_scalar_margins_on_the_fig1_scan(kind, gamma):
+    # every (eta, T) point the fig1 sweep evaluates in its scan, where the
+    # array forms carry most of the solver's traffic
+    ts = np.array(_fig1_scan_temperatures())
+    assert ts.size == 101
+    for eta in _FIG1_ETAS:
+        assert critical._default_t_hi(kind, gamma, eta, 1.0) == ts[0]
+        b, r = critical._field_terms(gamma, eta, 1.0)
+        values = critical._scan_margins(kind, 1.0, np.full(ts.size, b), np.full(ts.size, r), ts)
+        scalar = [critical._MARGINS[kind](ChainParams(J=1.0, gamma=gamma, eta=eta, T=t)) for t in ts.tolist()]
+        assert np.max(np.abs(values - scalar)) <= 1e-15, eta
 
 
 @settings(max_examples=400, derandomize=True, deadline=None)
