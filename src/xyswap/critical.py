@@ -10,7 +10,7 @@ root in temperature of a signed margin:
 Each margin is positive below its critical temperature and negative above
 it, so a descending scan finds the largest root; that bracket is then
 bisected.  All etas of a sweep are solved on one array path of numpy
-passes of fixed size: the crossing rules run on whole passes of array
+passes of bounded size: the crossing rules run on whole passes of array
 margins, and the bisection steps all brackets in lockstep on them.  Array
 margins near zero are rechecked by the scalar closed forms, through their
 kernels with the inputs checked once per sweep, so every sign is the
@@ -19,6 +19,7 @@ and the scan ceiling follows the large-eta asymptote so the root never
 escapes the scanned window.
 """
 
+import bisect
 import functools
 import logging
 import math
@@ -44,9 +45,13 @@ logger = logging.getLogger(__name__)
 _T_FLOOR_OVER_J = 1e-6
 _SCAN_STEP_OVER_J = 0.05
 _BRACKET_WIDTH_OVER_J = 1e-8
-_SCAN_BLOCK = 256  # margin values per numpy pass, which bounds the scan's memory
+_SCAN_LANES = 1024  # margin values per scan pass, which bounds the scan's memory
+_BISECT_LANES = 256  # midpoints per bisection pass
+# a pass's arrays span whole blocks of this many lanes, the rest padding: numpy keeps
+# up to 7 freed buffers of each size below 1 KB, which arbitrary lengths fill by MBs
+_PASS_QUANTUM = 128
 _SCAN_RECHECK = 1e-13  # array margins this close to zero, or NaN, are recomputed by the scalar forms
-_LANES = np.arange(_SCAN_BLOCK)
+_LANES = np.arange(_BISECT_LANES)
 
 
 @dataclass(frozen=True)
@@ -211,13 +216,13 @@ def _scan_margins(kind, j, b, r, t):
 def _near(values, size):
     """Which of the first `size` values lie within _SCAN_RECHECK of zero, or
     are NaN (B / T overflows): those whose sign the scalar forms settle."""
-    return ~(np.abs(values[:size]) > _SCAN_RECHECK)  # NaN fails the comparison
+    # NaN fails the comparison; sliced last, so each array spans the whole pass
+    return (~(np.abs(values) > _SCAN_RECHECK))[:size]
 
 
 class _Sweep:
-    """A sweep's per-eta constants and scalar margins, for numpy passes of
-    exactly _SCAN_BLOCK lanes, each an eta index (`rows`) and a
-    temperature; padding repeats real lanes."""
+    """A sweep's per-eta constants and scalar margins, for numpy passes
+    whose lanes are each an eta index (`rows`) and a temperature."""
 
     def __init__(self, kind, gamma, etas, j):
         self.kind, self.gamma, self.etas, self.j = kind, gamma, etas, j
@@ -239,47 +244,59 @@ class _Sweep:
         return values
 
 
-def _scan(sweep, live, signs, t_hi, step, floor, crossings, first):
-    """Carry the scans of the etas `live` (at most _SCAN_BLOCK), which share
-    the ceiling t_hi and have the given margin signs there, down the grid
-    t_hi - step, t_hi - 2 step, ... (repeated subtraction), whose first
-    point at or below the floor is the floor and the last: count each
-    eta's crossings and keep its first upward bracket (T, previous T).  A
-    pass holds whole grid columns, lane c * len(live) + e being eta e at
-    column c, so each lane's previous point lies len(live) lanes back, and
-    the last column of a pass carries into the next."""
-    count = len(live)
-    columns = _SCAN_BLOCK // count
-    rows = (live * (columns + 1))[:_SCAN_BLOCK]
-    b, r = sweep.b[rows], sweep.r[rows]  # gathered once for all passes
-    column = np.arange(count, count + _SCAN_BLOCK) // count  # of each lane, from 1
-    acc = np.full(_SCAN_BLOCK + 1, step)
-    acc[0] = t_hi
-    sign = np.empty(count + _SCAN_BLOCK)  # the carried column's signs, then this pass's
-    sign[:count] = signs
-    while True:
-        ts = np.subtract.accumulate(acc)  # the carried column, then this pass's
-        last = ts[columns] <= floor
-        width, k = columns, column
-        if last:
-            width = int((ts[1:columns + 1] <= floor).nonzero()[0][0]) + 1
-            ts[width] = floor
-            k = np.minimum(column, width)
-        size = width * count
-        t = ts[k]
-        values = _scan_margins(sweep.kind, sweep.j, b, r, t)
-        current = np.sign(sweep.settle(values, rows, t, _near(values, size).nonzero()[0].tolist()), out=sign[count:])
+class _Grid:
+    """The scan grid of the etas `members` (an array of at most _SCAN_LANES
+    indices) that share a ceiling: their b and r, the last point scanned
+    `t` (the ceiling at first, None after the floor) and their signs there."""
+
+    def __init__(self, sweep, members, t_hi, f_hi):
+        self.members, self.b, self.r = members, sweep.b[members], sweep.r[members]
+        self.t, self.signs = t_hi, np.sign(f_hi[members])
+
+
+def _scan(sweep, grids, step, floor, crossings, first):
+    """Carry the `grids` down T - step, T - 2 step, ... (repeated subtraction)
+    from their ceilings to the first point at or below the floor, which is
+    the floor and the last: count each eta's crossings and keep its first
+    upward bracket (T, previous T).  All grids share passes of at most
+    _SCAN_LANES lanes, each in turn taking the whole columns that still fit:
+    lane start + c * n + e is member e at column c, its previous point n
+    lanes back, and the last column carries into the grid's next pass."""
+    acc = np.full(_SCAN_LANES + 1, step)
+    rows = np.zeros(_SCAN_LANES, dtype=np.intp)
+    b, r, t, previous = np.ones((4, _SCAN_LANES))
+    while grids:
+        size, segments = 0, []  # segment: (grid, first lane, its points from the carried one)
+        for grid in grids:
+            n = grid.members.size
+            if size + n > _SCAN_LANES:
+                continue
+            acc[0] = grid.t
+            ts = np.subtract.accumulate(acc)
+            width = (_SCAN_LANES - size) // n
+            if ts[width] <= floor:
+                width = int((ts[1:] <= floor).nonzero()[0][0]) + 1
+                ts[width] = floor
+            for lanes, value in ((rows, grid.members), (b, grid.b), (r, grid.r), (t, ts[1:width + 1, None])):
+                lanes[size:size + width * n].reshape(width, n)[:] = value
+            segments.append((grid, size, ts[:width + 1]))
+            size += width * n
+        padded = -(-size // _PASS_QUANTUM) * _PASS_QUANTUM
+        values = _scan_margins(sweep.kind, sweep.j, b[:padded], r[:padded], t[:padded])
+        current = np.sign(sweep.settle(values, rows, t, _near(values, size).nonzero()[0].tolist()))
+        for grid, start, ts in segments:
+            n, stop = grid.members.size, start + (ts.size - 1) * grid.members.size
+            previous[start:start + n], previous[start + n:stop] = grid.signs, current[start:stop - n]
+            grid.t, grid.signs = None if ts[-1] <= floor else ts[-1], current[stop - n:stop]
         # strict sign on the current point, so margins that merely
         # underflow to exact zero near T = 0 do not count as crossings
-        for p in ((current != sign[:_SCAN_BLOCK]) & (current != 0.0))[:size].nonzero()[0].tolist():
+        for p in ((current != previous[:padded]) & (current != 0.0))[:size].nonzero()[0].tolist():
+            grid, start, ts = segments[bisect.bisect(segments, p, key=lambda segment: segment[1]) - 1]
             i = rows[p]
             crossings[i] += 1
             if first[i] is None and current[p] > 0.0:
-                first[i] = (float(t[p]), float(ts[k[p] - 1]))
-        if last:
-            return
-        sign[:count] = current[size - count:size]
-        acc[0] = ts[columns]
+                first[i] = (float(t[p]), float(ts[(p - start) // grid.members.size]))
+        grids = [grid for grid in grids if grid.t is not None]
 
 
 @functools.cache
@@ -290,7 +307,7 @@ def _tree(depth):
     per step after the first the lanes whose path takes the upper half
     there (lo = mid), then those taking the lower (hi = mid)."""
     size = 2**depth - 1
-    heap = [(lane // size, lane % size + 1) for lane in range(_SCAN_BLOCK)]  # (slot, node from 1)
+    heap = [(lane // size, lane % size + 1) for lane in range(_BISECT_LANES)]  # (slot, node from 1)
     turns = []
     for step in range(1, depth):
         # node q, of q.bit_length() levels, turns at `step` by that bit of q
@@ -298,7 +315,7 @@ def _tree(depth):
         turns.append((np.array([b == 1 for b in bits]), np.array([b == 0 for b in bits])))
 
     def lanes(values):
-        return np.array([min(v, _SCAN_BLOCK - 1) for v in values])
+        return np.array([min(v, _BISECT_LANES - 1) for v in values])
 
     lower = lanes(s * size + 2 * q - 1 for s, q in heap)
     upper = lanes(s * size + 2 * q for s, q in heap)
@@ -309,7 +326,7 @@ def _bisect(sweep, first, width):
     """Each bracket of `first` (None where there is none) narrowed until
     hi - lo <= width by mid = 0.5 * (lo + hi) and the sign of the margin
     there, as a scalar bisection narrows it, all etas in lockstep.  A pass
-    takes up to _SCAN_BLOCK open brackets and the midpoints of the next
+    takes up to _BISECT_LANES open brackets and the midpoints of the next
     `depth` steps of each, depth as large as the pass allows, each formed
     along its own path with the scalar arithmetic.  Each bracket then
     follows the signs down its tree by indexing only, and stays where it
@@ -318,9 +335,9 @@ def _bisect(sweep, first, width):
     repeated, until every sign it read is settled."""
     lo_all = np.array([math.nan if b is None else b[0] for b in first])
     hi_all = np.array([math.nan if b is None else b[1] for b in first])
-    while (open_ := (hi_all - lo_all > width).nonzero()[0][:_SCAN_BLOCK]).size:
+    while (open_ := (hi_all - lo_all > width).nonzero()[0][:_BISECT_LANES]).size:
         count = open_.size
-        size, slot, lower, upper, turns = _tree((_SCAN_BLOCK // count + 1).bit_length() - 1)
+        size, slot, lower, upper, turns = _tree((_BISECT_LANES // count + 1).bit_length() - 1)
         rows = open_[np.minimum(slot, count - 1)]  # padding slots repeat the last bracket
         t_lo, t_hi = lo_all[rows], hi_all[rows]
         for to_upper, to_lower in turns:
@@ -354,42 +371,41 @@ def _bisect(sweep, first, width):
 
 def _solve(kind, gamma, etas, j, t_his):
     """Roots of one margin kind at each (eta, scan ceiling) pair, on one
-    array path of numpy passes of exactly _SCAN_BLOCK values (`_Sweep`),
+    array path of numpy passes of at most _SCAN_LANES values (`_Sweep`),
     which keeps memory bounded and flat for any ceiling and sweep.
 
     First the margins at all ceilings: an eta whose margin is positive
     there stops.  Then the descending scans of the other etas, those that
-    share a ceiling on one grid, with the crossing rules applied to whole
-    passes of array margins (`_scan`).  Then the bisection of every first
-    upward bracket, all etas in lockstep on the array margins (`_bisect`).
-    Every margin the rules and the bisection read that lies within
-    _SCAN_RECHECK of zero, or is NaN, is rechecked by the scalar kernels,
-    so each sign, bracket, root and warning is the one a point-by-point
-    scalar solver gives.
+    share a ceiling on one grid, all grids in the same passes, with the
+    crossing rules applied to whole passes of array margins (`_scan`).
+    Then the bisection of every first upward bracket, all etas in lockstep
+    on the array margins (`_bisect`).  Every margin the rules and the
+    bisection read that lies within _SCAN_RECHECK of zero, or is NaN, is
+    rechecked by the scalar kernels, so each sign, bracket, root and
+    warning is the one a point-by-point scalar solver gives.
     """
     floor = _T_FLOOR_OVER_J * j
-    step = _SCAN_STEP_OVER_J * j
     sweep = _Sweep(kind, gamma, etas, j)
-    crossings, first, f_hi = [0] * len(etas), [None] * len(etas), []
+    crossings, first, f_hi = [0] * len(etas), [None] * len(etas), np.empty(len(etas))
     with np.errstate(all="ignore"):
-        for start in range(0, len(etas), _SCAN_BLOCK):
-            rows = np.minimum(np.arange(start, start + _SCAN_BLOCK), len(etas) - 1)
+        for start in range(0, len(etas), _SCAN_LANES):
+            size = min(len(etas) - start, _SCAN_LANES)
+            padded = -(-size // _PASS_QUANTUM) * _PASS_QUANTUM
+            rows = np.minimum(np.arange(start, start + padded), len(etas) - 1)  # padding repeats the last eta
             t = np.array(t_his)[rows]
-            size = len(etas) - start
             values = sweep.margins(rows, t)
-            f_hi += sweep.settle(values, rows, t, _near(values, size).nonzero()[0].tolist())[:size].tolist()
+            f_hi[start:start + size] = sweep.settle(values, rows, t, _near(values, size).nonzero()[0].tolist())[:size]
         groups = {}
-        for i, (t_hi, f) in enumerate(zip(t_his, f_hi)):
+        for i, (t_hi, f) in enumerate(zip(t_his, f_hi.tolist())):
             if not f > 0.0:  # a ceiling that leaves the margin positive ends the scan
                 groups.setdefault(t_hi, []).append(i)
-        for t_hi, members in groups.items():
-            for start in range(0, len(members), _SCAN_BLOCK):
-                live = members[start:start + _SCAN_BLOCK]
-                _scan(sweep, live, np.sign([f_hi[i] for i in live]), t_hi, step, floor, crossings, first)
+        grids = [_Grid(sweep, np.array(members[s:s + _SCAN_LANES]), t_hi, f_hi)
+                 for t_hi, members in groups.items() for s in range(0, len(members), _SCAN_LANES)]
+        _scan(sweep, grids, _SCAN_STEP_OVER_J * j, floor, crossings, first)
         brackets = _bisect(sweep, first, _BRACKET_WIDTH_OVER_J * j)
     return [
         _root(kind, gamma, eta, j, t_hi, floor, *state)
-        for eta, t_hi, state in zip(etas, t_his, zip(f_hi, crossings, brackets))
+        for eta, t_hi, state in zip(etas, t_his, zip(f_hi.tolist(), crossings, brackets))
     ]
 
 
@@ -456,7 +472,11 @@ def t3_critical(gamma, eta, J=1.0, *, t_hi=None):
 
 def sweep(kind, gamma, eta_grid, J=1.0):
     """All critical temperatures of one kind along a grid of eta values."""
-    if kind not in _MARGINS:
+    if isinstance(kind, bool) or not isinstance(kind, (int, np.integer)) or kind not in _MARGINS:
         raise ValueError(f"kind must be 1, 2 or 3, got {kind!r}")
+    _check_domain(gamma, 0.0, J)  # gamma and J once, whatever the grid
     etas = [float(eta) for eta in eta_grid]
-    return _solve(kind, gamma, etas, J, [_ceiling(kind, gamma, eta, J, None) for eta in etas])
+    for eta in etas:
+        if not 0.0 <= eta < math.inf:
+            _check_domain(gamma, eta, J)  # raises the eta's error
+    return _solve(int(kind), gamma, etas, J, [_default_t_hi(kind, gamma, eta, J) for eta in etas])

@@ -204,6 +204,25 @@ def test_sweep_rejects_bad_kind():
         sweep(0, 0.5, [0.0])
     with pytest.raises(ValueError):
         sweep(4, 0.5, [0.0])
+    # bools and floats equal to a kind are not kinds; numpy integers are
+    for kind in (True, 1.0, 2.0, np.float64(3.0)):
+        with pytest.raises(ValueError, match="kind must be 1, 2 or 3"):
+            sweep(kind, 0.5, [0.5])
+    results = sweep(np.int64(2), 0.5, [0.5])
+    assert type(results[0].kind) is int
+    assert results == sweep(2, 0.5, [0.5])
+
+
+@pytest.mark.parametrize("gamma, j, message", [
+    (5.0, 1.0, r"gamma must lie in \[0, 1\], got 5.0"),
+    (math.nan, -1.0, "gamma must be finite, got nan"),
+    (0.5, -1.0, "J must be positive, got -1.0"),
+])
+def test_sweep_checks_gamma_and_j_for_any_grid(gamma, j, message):
+    # the empty grid raises what a one-eta grid raises
+    for grid in ([], [0.5]):
+        with pytest.raises(ValueError, match=message):
+            sweep(3, gamma, grid, J=j)
 
 
 def test_domain_validation():
@@ -248,6 +267,11 @@ _SWEEPS = (
     + [(kind, 0.003, [1.0], 1.0) for kind in (2, 3)]
     # more etas than one pass holds, scanned and bisected in several blocks
     + [(1, 0.3, list(np.linspace(0.0, 2.0, 300)), 1.0)]
+    # 7 to 11 ceilings scanned in shared passes, their grids ending in different ones
+    + [(kind, 0.3, _FIG1_ETAS + [2.5, 12.0, 16.0, 30.0, 55.0, 80.0, 120.0, 200.0, 11.0, 300.0, 500.0], 1.0)
+       for kind in (1, 2, 3)]
+    # one eta whose grid of over 1024 points spans several passes
+    + [(1, 0.5, [200.0], 1.0), (2, 0.5, [200.0], 1.0), (3, 0.5, [700.0], 1.0)]
 )
 
 
@@ -329,6 +353,28 @@ def test_random_sweeps_match_reference_solver(kind, gamma, j, etas):
     # so the scans, rechecks and lockstep bisection mix within one sweep
     got, messages = _logged(lambda: sweep(kind, gamma, etas, J=j))
     _assert_same_roots(got, messages, [reference_critical(kind, gamma, float(eta), J=j) for eta in etas])
+
+
+@pytest.mark.parametrize("kind, fig1_passes, tail_passes", [(1, 22, 9), (2, 22, 9), (3, 22, 7)])
+def test_margin_pass_budget(monkeypatch, kind, fig1_passes, tail_passes):
+    # numpy margin passes per sweep: one at the ceilings, whole grid columns
+    # of every ceiling's grid in the same passes of up to 1024 lanes, then
+    # the lockstep bisection; the fixed cost of a pass sets a root's cost.
+    # Pass lengths are whole blocks of 128 lanes, so that numpy's cache of
+    # freed buffers under 1 KB holds a few sizes, not one per pass length
+    lengths = []
+    array_margins = critical._scan_margins
+
+    def counted(*args):
+        lengths.append(args[-1].size)
+        return array_margins(*args)
+
+    monkeypatch.setattr(critical, "_scan_margins", counted)
+    for etas, passes in ((_FIG1_ETAS, fig1_passes), (_TAIL_ETAS, tail_passes)):
+        lengths.clear()
+        sweep(kind, 0.5, etas)
+        assert len(lengths) == passes
+        assert all(length % 128 == 0 and length <= 1024 for length in lengths)
 
 
 def test_scan_memory_stays_bounded_for_a_high_ceiling():
