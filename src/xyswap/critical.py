@@ -8,18 +8,18 @@ root in temperature of a signed margin:
   kind 3: average teleport fidelity at mu = pi/4,   Phi - 2/3 = 0
 
 Each margin is positive below its critical temperature and negative above
-it, so a descending scan finds the largest root; that bracket is then
-bisected.  All etas of a sweep are solved on one array path of numpy
-passes of bounded size: the crossing rules run on whole passes of array
-margins, and the bisection steps all brackets in lockstep on them.  Array
-margins near zero are rechecked by the scalar closed forms, through their
-kernels with the inputs checked once per sweep, so every sign is the
-scalar one.  For gamma > 0 the thresholds grow roughly linearly in eta,
-and the scan ceiling follows the large-eta asymptote so the root never
-escapes the scanned window.
+it, so a descending scan from a ceiling finds the largest root; that
+bracket is then bisected.  All etas of a sweep are solved on one array
+path of numpy passes of bounded size: the scans start at the ceilings,
+the crossing rules run on whole passes of array margins, and the
+bisection steps all brackets in lockstep on them.  Array margins near
+zero are rechecked by the public scalar closed forms, `pair_metrics` and
+`fidelity_closed_form`, so every sign is the scalar one.  For gamma > 0
+the thresholds grow roughly linearly in eta, and the scan ceiling
+follows the large-eta asymptote so the root never escapes the scanned
+window.
 """
 
-import bisect
 import functools
 import logging
 import math
@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .teleport import TeleportConfig, _closed_coefficients, fidelity_closed_form
-from .xychain import ChainParams, _metrics_kernel, pair_metrics
+from .teleport import TeleportConfig, fidelity_closed_form
+from .xychain import ChainParams, pair_metrics
 
 __all__ = [
     "CriticalResult",
@@ -101,25 +101,13 @@ def t3_asymptote(gamma, eta, J=1.0):
     return eta * J / den
 
 
-def _concurrence_excess(m):
+def _margin_concurrence(params):
+    m = pair_metrics(params)
     return 2.0 * m.lambdas[0] - sum(m.lambdas)
 
 
-def _fef_excess(m):
-    return m.fef - 0.5
-
-
-def _phi_excess(coefficients):
-    c1, c2 = coefficients
-    return c1 + 0.5 * c2 - 2.0 / 3.0
-
-
-def _margin_concurrence(params):
-    return _concurrence_excess(pair_metrics(params))
-
-
 def _margin_fef(params):
-    return _fef_excess(pair_metrics(params))
+    return pair_metrics(params).fef - 0.5
 
 
 _PHI_CFG = TeleportConfig(mu=math.pi / 4.0)
@@ -127,17 +115,10 @@ _PHI_CFG = TeleportConfig(mu=math.pi / 4.0)
 
 def _margin_phi(params):
     r = fidelity_closed_form(params, _PHI_CFG)
-    return _phi_excess((r.c1, r.c2))
+    return r.c1 + 0.5 * r.c2 - 2.0 / 3.0
 
 
 _MARGINS = {1: _margin_concurrence, 2: _margin_fef, 3: _margin_phi}
-# the same margins on the unchecked closed-form kernels at (beta, B, J, gamma):
-# the kernel, None in the cold limit, and the margin of its output
-_KERNEL_MARGINS = {
-    1: (_metrics_kernel, _concurrence_excess),
-    2: (_metrics_kernel, _fef_excess),
-    3: (_closed_coefficients, _phi_excess),
-}
 
 
 def _default_t_hi(kind, gamma, eta, j):
@@ -153,26 +134,6 @@ def _field_terms(gamma, eta, j):
     the scalar closed forms form them."""
     b = math.hypot(eta, gamma) * j
     return b, (gamma * j / b if b > 0.0 else 0.0)
-
-
-def _margin_at(kind, gamma, eta, j):
-    """The kind's margin as a function of T at checked (gamma, eta, J).
-
-    For T > 0 it evaluates the closed-form kernel at beta = 1/T and the
-    B bound here, with the public forms' arithmetic and so their values.
-    At T = 0, and in the cold limit, it takes the public route, whose
-    `ground_region` limits the kernels leave out.
-    """
-    kernel, excess = _KERNEL_MARGINS[kind]
-    margin = _MARGINS[kind]
-    g = abs(gamma)
-    b, _ = _field_terms(g, eta, j)
-
-    def f(t):
-        out = kernel(1.0 / t, b, j, g) if t > 0.0 else None
-        return margin(ChainParams(J=j, gamma=gamma, eta=eta, T=t)) if out is None else excess(out)
-
-    return f
 
 
 def _scan_margins(kind, j, b, r, t):
@@ -221,82 +182,91 @@ def _near(values, size):
 
 
 class _Sweep:
-    """A sweep's per-eta constants and scalar margins, for numpy passes
-    whose lanes are each an eta index (`rows`) and a temperature."""
+    """A sweep's per-eta constants, for numpy passes whose lanes are each
+    an eta index (`rows`) and a temperature."""
 
     def __init__(self, kind, gamma, etas, j):
         self.kind, self.gamma, self.etas, self.j = kind, gamma, etas, j
         terms = [_field_terms(gamma, eta, j) for eta in etas]
         self.b, self.r = np.array([b for b, _ in terms]), np.array([r for _, r in terms])
-        self.scalar = {}  # eta index -> its `_margin_at`, built at the eta's first recheck
 
     def margins(self, rows, t):
         return _scan_margins(self.kind, self.j, self.b[rows], self.r[rows], t)
 
     def settle(self, values, rows, t, lanes):
         """The values, those of `lanes` (a list of lane indices) recomputed
-        by the scalar kernels, so that their signs are the scalar ones."""
+        by the public closed forms through `_MARGINS`, so that their signs
+        are the scalar ones."""
+        margin = _MARGINS[self.kind]
         for p in lanes:
-            i = int(rows[p])
-            if i not in self.scalar:
-                self.scalar[i] = _margin_at(self.kind, self.gamma, self.etas[i], self.j)
-            values[p] = self.scalar[i](float(t[p]))
+            values[p] = margin(ChainParams(J=self.j, gamma=self.gamma, eta=self.etas[rows[p]], T=float(t[p])))
         return values
 
 
 class _Grid:
     """The scan grid of the etas `members` (an array of at most _SCAN_LANES
     indices) that share a ceiling: their b and r, the last point scanned
-    `t` (the ceiling at first, None after the floor) and their signs there."""
+    `t` (the ceiling at first, None after the floor) and their signs there
+    (None before the first pass)."""
 
-    def __init__(self, sweep, members, t_hi, f_hi):
+    def __init__(self, sweep, members, t_hi):
         self.members, self.b, self.r = members, sweep.b[members], sweep.r[members]
-        self.t, self.signs = t_hi, np.sign(f_hi[members])
+        self.t, self.signs = t_hi, None
 
 
-def _scan(sweep, grids, step, floor, crossings, first):
-    """Carry the `grids` down T - step, T - 2 step, ... (repeated subtraction)
-    from their ceilings to the first point at or below the floor, which is
-    the floor and the last: count each eta's crossings and keep its first
+def _scan(sweep, grids, step, floor, f_hi, crossings, first):
+    """Carry the `grids` down from their ceilings through T - step,
+    T - 2 step, ... (repeated subtraction) to the first point at or below
+    the floor, which is the floor and the last: keep each eta's margin at
+    its ceiling in `f_hi`, count its crossings below and keep its first
     upward bracket (T, previous T).  All grids share passes of at most
-    _SCAN_LANES lanes, each in turn taking the whole columns that still fit:
-    lane start + c * n + e is member e at column c, its previous point n
-    lanes back, and the last column carries into the grid's next pass."""
+    _SCAN_LANES lanes, each in turn taking the whole columns that still
+    fit: lane start + c * n + e is member e at column c, its previous point
+    n lanes back, and the last column carries into the grid's next pass.
+    A grid's first pass holds its ceiling as column 0, which gets no
+    crossing test; an eta whose margin is positive there leaves its grid
+    after that pass."""
     acc = np.full(_SCAN_LANES + 1, step)
     rows = np.zeros(_SCAN_LANES, dtype=np.intp)
-    b, r, t, previous = np.ones((4, _SCAN_LANES))
+    b, r, t, before, previous = np.ones((5, _SCAN_LANES))
     while grids:
-        size, segments = 0, []  # segment: (grid, first lane, its points from the carried one)
+        size, segments = 0, []  # segment: (grid, first lane, last lane + 1)
         for grid in grids:
             n = grid.members.size
             if size + n > _SCAN_LANES:
                 continue
-            acc[0] = grid.t
+            # a first pass subtracts 0.0 once, so its column 0 is the ceiling
+            acc[:2] = grid.t, (0.0 if grid.signs is None else step)
             ts = np.subtract.accumulate(acc)
             width = (_SCAN_LANES - size) // n
             if ts[width] <= floor:
                 width = int((ts[1:] <= floor).nonzero()[0][0]) + 1
                 ts[width] = floor
-            for lanes, value in ((rows, grid.members), (b, grid.b), (r, grid.r), (t, ts[1:width + 1, None])):
+            for lanes, value in ((rows, grid.members), (b, grid.b), (r, grid.r),
+                                 (t, ts[1:width + 1, None]), (before, ts[:width, None])):
                 lanes[size:size + width * n].reshape(width, n)[:] = value
-            segments.append((grid, size, ts[:width + 1]))
+            segments.append((grid, size, size + width * n))
             size += width * n
         padded = -(-size // _PASS_QUANTUM) * _PASS_QUANTUM
         values = _scan_margins(sweep.kind, sweep.j, b[:padded], r[:padded], t[:padded])
         current = np.sign(sweep.settle(values, rows, t, _near(values, size).nonzero()[0].tolist()))
-        for grid, start, ts in segments:
-            n, stop = grid.members.size, start + (ts.size - 1) * grid.members.size
+        for grid, start, stop in segments:
+            n, ceiling = grid.members.size, grid.signs is None
+            if ceiling:
+                f_hi[grid.members], grid.signs = values[start:start + n], current[start:start + n]
             previous[start:start + n], previous[start + n:stop] = grid.signs, current[start:stop - n]
-            grid.t, grid.signs = None if ts[-1] <= floor else ts[-1], current[stop - n:stop]
+            grid.t, grid.signs = None if t[stop - 1] <= floor else t[stop - 1], current[stop - n:stop]
+            if ceiling:  # a ceiling that leaves the margin positive ends the eta's scan
+                keep = ~(values[start:start + n] > 0.0)
+                grid.members, grid.b, grid.r, grid.signs = (x[keep] for x in (grid.members, grid.b, grid.r, grid.signs))
         # strict sign on the current point, so margins that merely
         # underflow to exact zero near T = 0 do not count as crossings
         for p in ((current != previous[:padded]) & (current != 0.0))[:size].nonzero()[0].tolist():
-            grid, start, ts = segments[bisect.bisect(segments, p, key=lambda segment: segment[1]) - 1]
             i = rows[p]
             crossings[i] += 1
             if first[i] is None and current[p] > 0.0:
-                first[i] = (float(t[p]), float(ts[(p - start) // grid.members.size]))
-        grids = [grid for grid in grids if grid.t is not None]
+                first[i] = (float(t[p]), float(before[p]))
+        grids = [grid for grid in grids if grid.t is not None and grid.members.size]
 
 
 @functools.cache
@@ -374,38 +344,33 @@ def _solve(kind, gamma, etas, j, t_his):
     array path of numpy passes of at most _SCAN_LANES values (`_Sweep`),
     which keeps memory bounded and flat for any ceiling and sweep.
 
-    First the margins at all ceilings: an eta whose margin is positive
-    there stops.  Then the descending scans of the other etas, those that
+    First the descending scans, which start at the ceilings: the etas that
     share a ceiling on one grid, all grids in the same passes, with the
-    crossing rules applied to whole passes of array margins (`_scan`).
-    Then the bisection of every first upward bracket, all etas in lockstep
-    on the array margins (`_bisect`).  Every margin the rules and the
-    bisection read that lies within _SCAN_RECHECK of zero, or is NaN, is
-    rechecked by the scalar kernels, so each sign, bracket, root and
-    warning is the one a point-by-point scalar solver gives.
+    crossing rules applied to whole passes of array margins (`_scan`).  An
+    eta whose margin is positive at its ceiling stops after the first pass.
+    Then the bisection of every other eta's first upward bracket, all in
+    lockstep on the array margins (`_bisect`).  Every margin the rules and
+    the bisection read that lies within _SCAN_RECHECK of zero, or is NaN,
+    is rechecked by the public closed forms, so each sign, bracket, root
+    and warning is the one a point-by-point scalar solver gives.
     """
     floor = _T_FLOOR_OVER_J * j
     sweep = _Sweep(kind, gamma, etas, j)
     crossings, first, f_hi = [0] * len(etas), [None] * len(etas), np.empty(len(etas))
+    groups = {}
+    for i, t_hi in enumerate(t_his):
+        groups.setdefault(t_hi, []).append(i)
+    grids = [_Grid(sweep, np.array(members[s:s + _SCAN_LANES]), t_hi)
+             for t_hi, members in groups.items() for s in range(0, len(members), _SCAN_LANES)]
     with np.errstate(all="ignore"):
-        for start in range(0, len(etas), _SCAN_LANES):
-            size = min(len(etas) - start, _SCAN_LANES)
-            padded = -(-size // _PASS_QUANTUM) * _PASS_QUANTUM
-            rows = np.minimum(np.arange(start, start + padded), len(etas) - 1)  # padding repeats the last eta
-            t = np.array(t_his)[rows]
-            values = sweep.margins(rows, t)
-            f_hi[start:start + size] = sweep.settle(values, rows, t, _near(values, size).nonzero()[0].tolist())[:size]
-        groups = {}
-        for i, (t_hi, f) in enumerate(zip(t_his, f_hi.tolist())):
-            if not f > 0.0:  # a ceiling that leaves the margin positive ends the scan
-                groups.setdefault(t_hi, []).append(i)
-        grids = [_Grid(sweep, np.array(members[s:s + _SCAN_LANES]), t_hi, f_hi)
-                 for t_hi, members in groups.items() for s in range(0, len(members), _SCAN_LANES)]
-        _scan(sweep, grids, _SCAN_STEP_OVER_J * j, floor, crossings, first)
+        _scan(sweep, grids, _SCAN_STEP_OVER_J * j, floor, f_hi, crossings, first)
+        f_hi = f_hi.tolist()
+        # brackets an eta found in its first pass below a positive ceiling
+        first = [None if f > 0.0 else bracket for f, bracket in zip(f_hi, first)]
         brackets = _bisect(sweep, first, _BRACKET_WIDTH_OVER_J * j)
     return [
         _root(kind, gamma, eta, j, t_hi, floor, *state)
-        for eta, t_hi, state in zip(etas, t_his, zip(f_hi.tolist(), crossings, brackets))
+        for eta, t_hi, state in zip(etas, t_his, zip(f_hi, crossings, brackets))
     ]
 
 
@@ -420,7 +385,7 @@ def _root(kind, gamma, eta, j, t_hi, floor, f_hi, crossings, bracket):
         return CriticalResult(kind, gamma, eta, math.nan, None, False)
 
     if bracket is None:
-        m0 = _margin_at(kind, gamma, eta, j)(0.0)
+        m0 = _MARGINS[kind](ChainParams(J=j, gamma=gamma, eta=eta, T=0.0))
         if m0 <= 0.0:
             return CriticalResult(kind, gamma, eta, 0.0, (0.0, 0.0), True)
         logger.warning(

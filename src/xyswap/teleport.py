@@ -204,14 +204,14 @@ def fidelity_closed_form(params, cfg=None):
 
     Evaluated on |J|, |gamma|, |eta| (sign flips are local unitaries).  At
     T = 0, and wherever beta * max(B, |J|) overflows, the coefficients take
-    their limiting values per `ground_region`.
+    their limiting values per `ground_region`.  The threshold solver's
+    scalar fidelity margin is this function at mu = pi/4.
     """
     cfg = cfg if cfg is not None else TeleportConfig()
     g = abs(params.gamma)
-    coefficients = _closed_coefficients(params.beta, params.b_script, abs(params.J), g)
-    if coefficients is not None:
-        c1, c2 = coefficients
-    else:
+    j = abs(params.J)
+    h = scaled_hyperbolics(params.beta, params.b_script, j)
+    if h is None:
         region, s = ground_region(params)
         if region == "free":
             c1, c2 = 0.5, 0.0
@@ -223,31 +223,22 @@ def fidelity_closed_form(params, cfg=None):
         else:
             r = g / math.sqrt(s)
             c1, c2 = 2.0 / 3.0, (2.0 / 3.0) * r**3
+    else:
+        den = h.ch_b + h.ch_j
+        c1 = 2.0 * (h.ch_b**2 + h.ch_b * h.ch_j + h.ch_j**2) / (3.0 * den**2)
+        r = g * j / params.b_script if params.b_script > 0.0 else 0.0
+        c2 = (
+            2.0
+            * (
+                h.sh_j**3
+                + r * h.sh_j**2 * h.sh_b
+                + r**2 * h.sh_j * h.sh_b**2
+                + r**3 * h.sh_b**3
+            )
+            / (3.0 * den**3)
+        )
     phi = c1 + c2 * math.cos(cfg.mu) * math.sin(cfg.mu)
     return TeleportResult(c1=c1, c2=c2, phi_closed=phi)
-
-
-def _closed_coefficients(beta, big_b, j, g):
-    """(c1, c2) of `fidelity_closed_form` at beta, B, |J| and |gamma|,
-    taken as checked; None in the cold limit, where `scaled_hyperbolics`
-    is None."""
-    h = scaled_hyperbolics(beta, big_b, j)
-    if h is None:
-        return None
-    den = h.ch_b + h.ch_j
-    c1 = 2.0 * (h.ch_b**2 + h.ch_b * h.ch_j + h.ch_j**2) / (3.0 * den**2)
-    r = g * j / big_b if big_b > 0.0 else 0.0
-    c2 = (
-        2.0
-        * (
-            h.sh_j**3
-            + r * h.sh_j**2 * h.sh_b
-            + r**2 * h.sh_j * h.sh_b**2
-            + r**3 * h.sh_b**3
-        )
-        / (3.0 * den**3)
-    )
-    return c1, c2
 
 
 def evaluate(params, cfg=None):

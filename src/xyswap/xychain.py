@@ -287,20 +287,17 @@ def pair_metrics(params):
     eigenvalues on the rank-deficient ground states).  Otherwise everything
     reduces to ratios of scaled hyperbolics; the nested radical in the
     field-block roots simplifies to sqrt(1 + u^2) +- u with
-    u = (gamma J / B) sinh(beta B), which is the form used here.
+    u = (gamma J / B) sinh(beta B), which is the form used here.  The
+    threshold solver's scalar margins of kinds 1 and 2 are this function.
     """
-    m = _metrics_kernel(params.beta, params.b_script, abs(params.J), abs(params.gamma))
-    return _ground_metrics(params) if m is None else m
-
-
-def _metrics_kernel(beta, big_b, j_abs, g_abs):
-    """`pair_metrics` at beta, B, |J| and |gamma|, taken as checked; None
-    in the cold limit, where `scaled_hyperbolics` is None."""
+    j_abs = abs(params.J)
+    beta = params.beta
+    big_b = params.b_script
     h = scaled_hyperbolics(beta, big_b, j_abs)
     if h is None:
-        return None
+        return _ground_metrics(params)
     z = 2.0 * (h.ch_b + h.ch_j)  # partition function, scaled
-    r = g_abs * j_abs / big_b if big_b > 0.0 else 0.0
+    r = abs(params.gamma) * j_abs / big_b if big_b > 0.0 else 0.0
     lam1 = math.exp(beta * j_abs - h.shift) / z
     lam2 = math.exp(-beta * j_abs - h.shift) / z
     u = r * h.sh_b

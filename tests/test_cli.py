@@ -14,7 +14,8 @@ from xyswap.critical import CriticalResult
 from xyswap.teleport import TeleportConfig, fidelity_closed_form
 from xyswap.xychain import ChainParams, pair_metrics
 
-GOLDEN = Path(__file__).parent / "data" / "table1_golden.csv"
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "table1_golden.csv"
 
 
 def _run(capsys, argv):
@@ -203,6 +204,15 @@ def test_table_is_deterministic(capsys):
     _, first, _ = _run(capsys, ["table1"])
     _, second, _ = _run(capsys, ["table1"])
     assert first == second
+
+
+@pytest.mark.parametrize("command", ["table1", "fig1"])
+def test_default_artifacts_match_stored_bytes(capsys, command):
+    # the shipped artifacts with their defaults, stored once from a known-good
+    # run: a change that moves any root by one printed digit changes the bytes
+    code, out, _ = _run(capsys, [command])
+    assert code == 0
+    assert out.encode() == (DATA / f"{command}_default.csv").read_bytes()
 
 
 def test_table_json_long_format(capsys):

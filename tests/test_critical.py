@@ -296,6 +296,10 @@ def test_sweep_matches_reference_solver(caplog, kind, gamma, etas, j):
     (2, 0.6, 0.8, 0.37, None),  # T = 0 fallback on the degenerate boundary
     (1, 0.5, 1e305, 1.0, 1.0),  # B / T overflows below the ceiling
     (3, 0.2, 0.7, 1.0, 500.0),  # 10^4 scan points
+    # ceilings at the floor: one-point grids, whose ceiling is also the floor
+    (1, 0.3, 2.0, 1.0, critical._T_FLOOR_OVER_J),
+    (3, 0.5, 0.4, 2.0, critical._T_FLOOR_OVER_J * 2.0),
+    (2, 0.6, 0.8, 0.37, critical._T_FLOOR_OVER_J * 0.37),  # T = 0 fallback
 ])
 def test_point_solvers_match_reference_solver(caplog, kind, gamma, eta, j, t_hi):
     solver = {1: t1_critical, 2: t2_critical, 3: t3_critical}[kind]
@@ -355,11 +359,12 @@ def test_random_sweeps_match_reference_solver(kind, gamma, j, etas):
     _assert_same_roots(got, messages, [reference_critical(kind, gamma, float(eta), J=j) for eta in etas])
 
 
-@pytest.mark.parametrize("kind, fig1_passes, tail_passes", [(1, 22, 9), (2, 22, 9), (3, 22, 7)])
+@pytest.mark.parametrize("kind, fig1_passes, tail_passes", [(1, 21, 8), (2, 21, 8), (3, 21, 6)])
 def test_margin_pass_budget(monkeypatch, kind, fig1_passes, tail_passes):
-    # numpy margin passes per sweep: one at the ceilings, whole grid columns
-    # of every ceiling's grid in the same passes of up to 1024 lanes, then
-    # the lockstep bisection; the fixed cost of a pass sets a root's cost.
+    # numpy margin passes per sweep: whole grid columns of every ceiling's
+    # grid, each grid's ceiling its first column, in the same passes of up
+    # to 1024 lanes, then the lockstep bisection; the fixed cost of a pass
+    # sets a root's cost.
     # Pass lengths are whole blocks of 128 lanes, so that numpy's cache of
     # freed buffers under 1 KB holds a few sizes, not one per pass length
     lengths = []
@@ -375,6 +380,40 @@ def test_margin_pass_budget(monkeypatch, kind, fig1_passes, tail_passes):
         sweep(kind, 0.5, etas)
         assert len(lengths) == passes
         assert all(length % 128 == 0 and length <= 1024 for length in lengths)
+
+
+@pytest.mark.parametrize("kind, fig1_evals, tail_evals", [(1, 0, 0), (2, 0, 0), (3, 0, 30)])
+def test_scalar_recheck_budget(monkeypatch, kind, fig1_evals, tail_evals):
+    # scalar margins per sweep: the rechecks of array margins near zero and
+    # the T = 0 fallback, all through the public closed forms.  Only the
+    # margins the crossing rules and the bisection read are rechecked;
+    # rechecking every near-zero bisection node takes the kind-3 tail to 149
+    evals = []
+
+    def counted(closed_form):
+        def wrapped(*args):
+            evals.append(args)
+            return closed_form(*args)
+        return wrapped
+
+    for name in ("pair_metrics", "fidelity_closed_form"):
+        monkeypatch.setattr(critical, name, counted(getattr(critical, name)))
+    for etas, budget in ((_FIG1_ETAS, fig1_evals), (_TAIL_ETAS, tail_evals)):
+        evals.clear()
+        sweep(kind, 0.5, etas)
+        assert len(evals) == budget
+
+
+def test_positive_ceiling_ends_the_scan_after_its_first_pass(monkeypatch):
+    # at eta = 1e305 every margin below this ceiling lies within 1e-13 of
+    # zero and is rechecked; the eta leaves its grid after the pass that
+    # holds its ceiling, not 10^6 scan points later
+    evals = []
+    metrics = critical.pair_metrics
+    monkeypatch.setattr(critical, "pair_metrics", lambda params: evals.append(params) or metrics(params))
+    got, messages = _logged(lambda: t1_critical(0.5, 1e305, t_hi=5e4))
+    assert len(evals) <= critical._SCAN_LANES
+    _assert_same_roots([got], messages, [reference_critical(1, 0.5, 1e305, t_hi=5e4)])
 
 
 def test_scan_memory_stays_bounded_for_a_high_ceiling():
@@ -437,23 +476,3 @@ def test_array_margins_match_scalar_margins_on_the_fig1_scan(kind, gamma):
         values = critical._scan_margins(kind, 1.0, np.full(ts.size, b), np.full(ts.size, r), ts)
         scalar = [critical._MARGINS[kind](ChainParams(J=1.0, gamma=gamma, eta=eta, T=t)) for t in ts.tolist()]
         assert np.max(np.abs(values - scalar)) <= 1e-15, eta
-
-
-@settings(max_examples=400, derandomize=True, deadline=None)
-@given(
-    J=st.floats(1e-3, 1e3),
-    gamma=st.floats(0.0, 1.0),
-    eta=st.floats(0.0, 1e3),
-    T=st.floats(1e-6, 1e6),
-)
-def test_kernel_margins_equal_public_margins(J, gamma, eta, T):
-    # the bisection's route: inputs checked once, the kernels at beta = 1/T
-    T = max(T, 1e-6 * J)
-    b = math.hypot(eta, gamma) * J
-    for kind in (1, 2, 3):
-        public = critical._MARGINS[kind](ChainParams(J=J, gamma=gamma, eta=eta, T=T))
-        kernel, excess = critical._KERNEL_MARGINS[kind]
-        out = kernel(1.0 / T, b, J, gamma)
-        assert out is not None
-        assert excess(out) == public
-        assert critical._margin_at(kind, gamma, eta, J)(T) == public
