@@ -12,9 +12,9 @@ it, so a descending scan from a ceiling finds the largest root; that
 bracket is then bisected.  All etas of a sweep are solved on one array
 path of numpy passes of bounded size: the scans start at the ceilings,
 the crossing rules run on whole passes of array margins, and the
-bisection steps all brackets in lockstep on them.  Array margins near
-zero are rechecked by the public scalar closed forms, `pair_metrics` and
-`fidelity_closed_form`, so every sign is the scalar one.  For gamma > 0
+bisection steps all brackets in lockstep on them.  The passes run the
+numpy kernels of `pair_metrics` and `fidelity_closed_form` on arrays, so
+every sign is the one those public closed forms give.  For gamma > 0
 the thresholds grow roughly linearly in eta, and the scan ceiling
 follows the large-eta asymptote so the root never escapes the scanned
 window.
@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .teleport import TeleportConfig, fidelity_closed_form
-from .xychain import ChainParams, pair_metrics
+from .teleport import fidelity_closed_form, fidelity_coefficients
+from .xychain import ChainParams, bell_overlap, pair_metrics, scaled_exponentials, spin_flip_roots
 
 __all__ = [
     "CriticalResult",
@@ -50,7 +50,6 @@ _BISECT_LANES = 256  # midpoints per bisection pass
 # a pass's arrays span whole blocks of this many lanes, the rest padding: numpy keeps
 # up to 7 freed buffers of each size below 1 KB, which arbitrary lengths fill by MBs
 _PASS_QUANTUM = 128
-_SCAN_RECHECK = 1e-13  # array margins this close to zero, or NaN, are recomputed by the scalar forms
 _LANES = np.arange(_BISECT_LANES)
 
 
@@ -101,20 +100,18 @@ def t3_asymptote(gamma, eta, J=1.0):
     return eta * J / den
 
 
+# the margins by the public closed forms; the solver calls them only at T = 0
 def _margin_concurrence(params):
-    m = pair_metrics(params)
-    return 2.0 * m.lambdas[0] - sum(m.lambdas)
+    lams = pair_metrics(params).lambdas
+    return 2.0 * lams[0] - (((lams[0] + lams[1]) + lams[2]) + lams[3])
 
 
 def _margin_fef(params):
     return pair_metrics(params).fef - 0.5
 
 
-_PHI_CFG = TeleportConfig(mu=math.pi / 4.0)
-
-
 def _margin_phi(params):
-    r = fidelity_closed_form(params, _PHI_CFG)
+    r = fidelity_closed_form(params)  # at the default mu = pi/4
     return r.c1 + 0.5 * r.c2 - 2.0 / 3.0
 
 
@@ -137,48 +134,21 @@ def _field_terms(gamma, eta, j):
 
 
 def _scan_margins(kind, j, b, r, t):
-    """Array form of the kind's margin at temperatures t > 0 for J > 0,
-    with b and r from `_field_terms`: b, r and t are arrays of one shape.
-
-    Follows `pair_metrics` and `fidelity_closed_form` on their scaled
-    hyperbolic branch, with the same exponentials exp(+-beta B - shift)
-    and exp(+-beta J - shift), shift = max(beta B, beta J), and forms only
-    the terms the kind needs, in products instead of powers.  numpy's exp
-    can differ from the math module's by an ulp, and the products round
-    differently, so the values agree within 1e-15, not bit for bit; the
-    solver recomputes values near zero with the scalar forms.
-    """
-    beta = 1.0 / t
-    xb = beta * b
-    xj = beta * j
-    shift = np.maximum(xb, xj)
-    minus = -shift
-    eb_hi, ej_hi = np.exp(xb - shift), np.exp(xj - shift)
-    eb_lo, ej_lo = np.exp(minus - xb), np.exp(minus - xj)
-    # twice the scaled cosh and sinh of beta B
-    cb, sb = eb_hi + eb_lo, eb_hi - eb_lo
-    if kind == 3:
-        cj, sj = ej_hi + ej_lo, ej_hi - ej_lo
-        den = cb + cj
-        rs = r * sb
-        c1 = (cb * den + cj * cj) / (den * den)  # 3 c1 / 2
-        c2 = (sj + rs) * (sj * sj + rs * rs) / (den * den * den)  # 3 c2 / 2
-        return (c1 + c1 + c2 - 2.0) / 3.0
-    z = cb + (ej_hi + ej_lo)
-    if kind == 2:
-        return np.maximum(ej_hi, 0.5 * (cb + r * sb)) / z - 0.5
-    u = 0.5 * (r * sb)
-    root = np.hypot(np.exp(minus), u)
-    # lam1 >= lam2 and lam3 >= lam4, so the largest is lam1 or lam3, and
-    # 2 max(lam1, lam3) - (lam1 + ... + lam4) = |lam1 - lam3| - lam2 - lam4
-    return (np.abs(ej_hi - (root + u)) - ej_lo - (root - u)) / z
-
-
-def _near(values, size):
-    """Which of the first `size` values lie within _SCAN_RECHECK of zero, or
-    are NaN (B / T overflows): those whose sign the scalar forms settle."""
-    # NaN fails the comparison; sliced last, so each array spans the whole pass
-    return (~(np.abs(values) > _SCAN_RECHECK))[:size]
+    """The kind's margin at temperatures t > 0 for J > 0, with b and r from
+    `_field_terms`, arrays of one shape: the closed forms' kernels, so each
+    value is bit for bit that of `_MARGINS`.  Where beta B overflows (at
+    T >= 1e-6 J, hypot(eta, gamma) above ~1.8e302) the kernels give NaN and
+    the closed forms their T -> 0 limit, 0 for every kind there."""
+    e = scaled_exponentials(1.0 / t, b, j)
+    if kind == 1:
+        margin = spin_flip_roots(e, r)[1]
+    elif kind == 2:
+        margin = bell_overlap(e, r) - 0.5
+    else:
+        c1, c2 = fidelity_coefficients(e, r)
+        margin = c1 + 0.5 * c2 - 2.0 / 3.0
+    np.copyto(margin, 0.0, where=np.isnan(margin))
+    return margin
 
 
 class _Sweep:
@@ -186,21 +156,12 @@ class _Sweep:
     an eta index (`rows`) and a temperature."""
 
     def __init__(self, kind, gamma, etas, j):
-        self.kind, self.gamma, self.etas, self.j = kind, gamma, etas, j
+        self.kind, self.j = kind, j
         terms = [_field_terms(gamma, eta, j) for eta in etas]
         self.b, self.r = np.array([b for b, _ in terms]), np.array([r for _, r in terms])
 
     def margins(self, rows, t):
         return _scan_margins(self.kind, self.j, self.b[rows], self.r[rows], t)
-
-    def settle(self, values, rows, t, lanes):
-        """The values, those of `lanes` (a list of lane indices) recomputed
-        by the public closed forms through `_MARGINS`, so that their signs
-        are the scalar ones."""
-        margin = _MARGINS[self.kind]
-        for p in lanes:
-            values[p] = margin(ChainParams(J=self.j, gamma=self.gamma, eta=self.etas[rows[p]], T=float(t[p])))
-        return values
 
 
 class _Grid:
@@ -249,7 +210,7 @@ def _scan(sweep, grids, step, floor, f_hi, crossings, first):
             size += width * n
         padded = -(-size // _PASS_QUANTUM) * _PASS_QUANTUM
         values = _scan_margins(sweep.kind, sweep.j, b[:padded], r[:padded], t[:padded])
-        current = np.sign(sweep.settle(values, rows, t, _near(values, size).nonzero()[0].tolist()))
+        current = np.sign(values)
         for grid, start, stop in segments:
             n, ceiling = grid.members.size, grid.signs is None
             if ceiling:
@@ -292,20 +253,25 @@ def _tree(depth):
     return size, np.array([s for s, _ in heap]), lower, upper, turns
 
 
+def _open(lo, hi, mid, width):
+    """Which brackets (lo, hi) with midpoints `mid` are wider than `width`
+    and not yet two neighbouring doubles, which lie over 1e-8 J apart above
+    2**26 J."""
+    return (hi - lo > width) & (mid != lo) & (mid != hi)
+
+
 def _bisect(sweep, first, width):
-    """Each bracket of `first` (None where there is none) narrowed until
-    hi - lo <= width by mid = 0.5 * (lo + hi) and the sign of the margin
-    there, as a scalar bisection narrows it, all etas in lockstep.  A pass
-    takes up to _BISECT_LANES open brackets and the midpoints of the next
-    `depth` steps of each, depth as large as the pass allows, each formed
-    along its own path with the scalar arithmetic.  Each bracket then
-    follows the signs down its tree by indexing only, and stays where it
-    is no wider than `width`, so it reads the midpoints the scalar loop
-    reads; of those, the ones near zero are rechecked and the descent
-    repeated, until every sign it read is settled."""
+    """Each bracket of `first` (None where there is none) narrowed by
+    mid = 0.5 * (lo + hi) and the sign of the margin there, as a scalar
+    bisection narrows it, until `_open` closes it, all etas in lockstep.
+    A pass takes up to _BISECT_LANES open brackets and the midpoints of the
+    next `depth` steps of each, depth as large as the pass allows, each
+    formed along its own path with the scalar arithmetic.  Each bracket
+    then follows the signs down its tree by indexing only, once, and stays
+    where it is closed, so it reads the midpoints the scalar loop reads."""
     lo_all = np.array([math.nan if b is None else b[0] for b in first])
     hi_all = np.array([math.nan if b is None else b[1] for b in first])
-    while (open_ := (hi_all - lo_all > width).nonzero()[0][:_BISECT_LANES]).size:
+    while (open_ := _open(lo_all, hi_all, 0.5 * (lo_all + hi_all), width).nonzero()[0][:_BISECT_LANES]).size:
         count = open_.size
         size, slot, lower, upper, turns = _tree((_BISECT_LANES // count + 1).bit_length() - 1)
         rows = open_[np.minimum(slot, count - 1)]  # padding slots repeat the last bracket
@@ -315,26 +281,16 @@ def _bisect(sweep, first, width):
             np.copyto(t_lo, mid, where=to_upper)
             np.copyto(t_hi, mid, where=to_lower)
         t = 0.5 * (t_lo + t_hi)
-        values = sweep.margins(rows, t)
-        near = _near(values, count * size)
-        wide = t_hi - t_lo > width
-        while True:
-            positive = values > 0.0
-            # each lane's next lane: its child by the sign, or itself where
-            # the bracket is no wider than `width`, and the scalar loop stops
-            after = np.where(wide, np.where(positive, upper, lower), _LANES)
-            path = [_LANES[:count * size:size]]  # the slots' roots
-            for _ in turns:
-                path.append(after[path[-1]])
-            read = np.concatenate(path)
-            stale = read[near[read].nonzero()[0]].tolist()
-            if not stale:
-                break
-            stale = list(set(stale))  # the descent reads a lane again where it stays
-            sweep.settle(values, rows, t, stale)
-            near[stale] = False
-        lo_all[open_] = np.where(wide & positive, t, t_lo)[path[-1]]
-        hi_all[open_] = np.where(wide & ~positive, t, t_hi)[path[-1]]
+        positive = sweep.margins(rows, t) > 0.0
+        wide = _open(t_lo, t_hi, t, width)
+        # each lane's next lane: its child by the sign, or itself where the
+        # bracket is closed, and the scalar loop stops
+        after = np.where(wide, np.where(positive, upper, lower), _LANES)
+        lane = _LANES[:count * size:size]  # the slots' roots
+        for _ in turns:
+            lane = after[lane]
+        lo_all[open_] = np.where(wide & positive, t, t_lo)[lane]
+        hi_all[open_] = np.where(wide & ~positive, t, t_hi)[lane]
     brackets = zip(lo_all.tolist(), hi_all.tolist())
     return [None if b is None else bracket for b, bracket in zip(first, brackets)]
 
@@ -349,17 +305,20 @@ def _solve(kind, gamma, etas, j, t_his):
     crossing rules applied to whole passes of array margins (`_scan`).  An
     eta whose margin is positive at its ceiling stops after the first pass.
     Then the bisection of every other eta's first upward bracket, all in
-    lockstep on the array margins (`_bisect`).  Every margin the rules and
-    the bisection read that lies within _SCAN_RECHECK of zero, or is NaN,
-    is rechecked by the public closed forms, so each sign, bracket, root
-    and warning is the one a point-by-point scalar solver gives.
+    lockstep on the array margins (`_bisect`).  The array margins are the
+    public closed forms' kernels, bit for bit, so each sign, bracket, root
+    and warning is the one a point-by-point scalar solver gives; only the
+    T = 0 fallback of `_root` calls a closed form itself.
     """
     floor = _T_FLOOR_OVER_J * j
     sweep = _Sweep(kind, gamma, etas, j)
     crossings, first, f_hi = [0] * len(etas), [None] * len(etas), np.empty(len(etas))
     groups = {}
     for i, t_hi in enumerate(t_his):
-        groups.setdefault(t_hi, []).append(i)
+        if sweep.b[i] < math.inf:
+            groups.setdefault(t_hi, []).append(i)
+        else:  # B / T overflows at every T, where the margin is its T = 0 limit
+            f_hi[i] = _MARGINS[kind](ChainParams(J=j, gamma=gamma, eta=etas[i], T=0.0))
     grids = [_Grid(sweep, np.array(members[s:s + _SCAN_LANES]), t_hi)
              for t_hi, members in groups.items() for s in range(0, len(members), _SCAN_LANES)]
     with np.errstate(all="ignore"):

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import qcore
 from .swapnet import swap_all
-from .xychain import ground_region, scaled_hyperbolics
+from .xychain import ground_region, scaled_exponentials
 
 __all__ = [
     "TeleportConfig",
@@ -42,6 +42,7 @@ __all__ = [
     "conditioned_state",
     "correction_for",
     "fidelity_simulated",
+    "fidelity_coefficients",
     "fidelity_closed_form",
     "evaluate",
 ]
@@ -198,20 +199,33 @@ def fidelity_simulated(params, cfg=None):
     return evaluate(params, cfg).phi_simulated
 
 
+def fidelity_coefficients(e, r):
+    """(c1, c2) from the pair's `scaled_exponentials` e and its field ratio
+    r = |gamma J| / B (0 where B = 0), floats or arrays: ratios of terms of
+    one degree in twice the scaled hyperbolics, powers as products, and
+    sh_j^3 + r sh_j^2 sh_b + r^2 sh_j sh_b^2 + r^3 sh_b^3 factored."""
+    eb_hi, eb_lo, ej_hi, ej_lo, _ = e
+    cb, cj, sj, rs = eb_hi + eb_lo, ej_hi + ej_lo, ej_hi - ej_lo, r * (eb_hi - eb_lo)
+    den = cb + cj
+    c1 = 2.0 * (cb * cb + cb * cj + cj * cj) / (3.0 * (den * den))
+    c2 = 2.0 * ((sj + rs) * (sj * sj + rs * rs)) / (3.0 * (den * den * den))
+    return c1, c2
+
+
 def fidelity_closed_form(params, cfg=None):
     """Closed-form average fidelity coefficients (c1, c2) and their value
-    c1 + c2 cos(mu) sin(mu).
+    c1 + c2 cos(mu) sin(mu), as Python floats.
 
     Evaluated on |J|, |gamma|, |eta| (sign flips are local unitaries).  At
     T = 0, and wherever beta * max(B, |J|) overflows, the coefficients take
-    their limiting values per `ground_region`.  The threshold solver's
-    scalar fidelity margin is this function at mu = pi/4.
+    their limiting values per `ground_region`, and else are the kernel
+    `fidelity_coefficients`, which the threshold solver runs on arrays.
     """
     cfg = cfg if cfg is not None else TeleportConfig()
     g = abs(params.gamma)
     j = abs(params.J)
-    h = scaled_hyperbolics(params.beta, params.b_script, j)
-    if h is None:
+    e = scaled_exponentials(params.beta, params.b_script, j)
+    if e is None:
         region, s = ground_region(params)
         if region == "free":
             c1, c2 = 0.5, 0.0
@@ -224,19 +238,8 @@ def fidelity_closed_form(params, cfg=None):
             r = g / math.sqrt(s)
             c1, c2 = 2.0 / 3.0, (2.0 / 3.0) * r**3
     else:
-        den = h.ch_b + h.ch_j
-        c1 = 2.0 * (h.ch_b**2 + h.ch_b * h.ch_j + h.ch_j**2) / (3.0 * den**2)
         r = g * j / params.b_script if params.b_script > 0.0 else 0.0
-        c2 = (
-            2.0
-            * (
-                h.sh_j**3
-                + r * h.sh_j**2 * h.sh_b
-                + r**2 * h.sh_j * h.sh_b**2
-                + r**3 * h.sh_b**3
-            )
-            / (3.0 * den**3)
-        )
+        c1, c2 = (float(c) for c in fidelity_coefficients(e, r))
     phi = c1 + c2 * math.cos(cfg.mu) * math.sin(cfg.mu)
     return TeleportResult(c1=c1, c2=c2, phi_closed=phi)
 

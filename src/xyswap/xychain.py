@@ -29,12 +29,15 @@ __all__ = [
     "SpectrumXY",
     "PairMetrics",
     "HyperbolicWeights",
+    "scaled_exponentials",
     "scaled_hyperbolics",
     "ground_region",
     "hamiltonian",
     "spectrum",
     "thermal_state",
     "ground_state",
+    "bell_overlap",
+    "spin_flip_roots",
     "pair_metrics",
 ]
 
@@ -101,24 +104,38 @@ class HyperbolicWeights(NamedTuple):
     shift: float
 
 
-def scaled_hyperbolics(beta, b_script, j_abs):
-    """Overflow-safe hyperbolic weights, or None in the cold limit.
+# max and min, elementwise on arrays: a selection rounds nothing, and on
+# floats the builtins are several times faster than numpy's ufuncs
+def _larger(x, y):
+    return np.maximum(x, y) if isinstance(x, np.ndarray) else max(x, y)
 
-    Every member is the plain cosh/sinh multiplied by exp(-shift) with
-    shift = max(beta*b_script, beta*j_abs)), so ratios that are homogeneous
-    in the four members can be formed for any beta at which the shift is
-    finite.  Where beta or the shift overflows (T = 0 included) no scaling
-    exists, and callers take the T -> 0 limits of `ground_region` instead.
-    """
-    if beta == math.inf:
-        return None
+
+def _smaller(x, y):
+    return np.minimum(x, y) if isinstance(x, np.ndarray) else min(x, y)
+
+
+def scaled_exponentials(beta, b_script, j_abs):
+    """(exp(xb - m), exp(-xb - m), exp(xj - m), exp(-xj - m), m) with
+    xb = beta*b_script, xj = beta*j_abs and the shift m = max(xb, xj), for
+    floats or numpy arrays alike.  Where beta or m overflows (T = 0
+    included) floats give None, and callers take the T -> 0 limits of
+    `ground_region` instead; array lanes there are NaN."""
     xb = beta * b_script
     xj = beta * j_abs
-    m = max(xb, xj)
-    if m == math.inf:
+    m = _larger(xb, xj)
+    if not isinstance(m, np.ndarray) and not m < math.inf:  # beta = inf: inf, or inf * 0 = nan
         return None
-    eb_hi, eb_lo = math.exp(xb - m), math.exp(-xb - m)
-    ej_hi, ej_lo = math.exp(xj - m), math.exp(-xj - m)
+    minus = -m
+    return np.exp(xb - m), np.exp(minus - xb), np.exp(xj - m), np.exp(minus - xj), m
+
+
+def scaled_hyperbolics(beta, b_script, j_abs):
+    """Overflow-safe hyperbolic weights: the plain cosh/sinh times
+    exp(-shift), from `scaled_exponentials`; None in the cold limit."""
+    e = scaled_exponentials(beta, b_script, j_abs)
+    if e is None:
+        return None
+    eb_hi, eb_lo, ej_hi, ej_lo, m = e
     return HyperbolicWeights(
         0.5 * (eb_hi + eb_lo), 0.5 * (ej_hi + ej_lo), 0.5 * (eb_hi - eb_lo), 0.5 * (ej_hi - ej_lo), m
     )
@@ -277,36 +294,56 @@ def _ground_metrics(params):
     return PairMetrics((r, 0.0, 0.0, 0.0), r, 0.5 * (1.0 + r))
 
 
+# The kernels take the `scaled_exponentials` e and the field ratio
+# r = |gamma J| / B (0 where B = 0), floats or arrays.  The sum and the
+# difference of an exponential pair are twice a scaled cosh and sinh.
+
+
+def bell_overlap(e, r):
+    """Maximal Bell overlap (FEF) of the thermal pair: the larger of the
+    exchange-block exp(beta |J|)/Z and the field-block (cosh + r sinh)/Z."""
+    eb_hi, eb_lo, ej_hi, ej_lo, _ = e
+    cb = eb_hi + eb_lo
+    z = cb + (ej_hi + ej_lo)  # partition function, scaled
+    return _larger(ej_hi / z, 0.5 * (cb + r * (eb_hi - eb_lo)) / z)
+
+
+def spin_flip_roots(e, r):
+    """Spin-flip roots of the thermal pair, largest first (a min/max
+    network), and the concurrence excess 2 lambda_max - sum(lambda), summed
+    left to right.  The field-block roots are sqrt(1 + u^2) +- u with
+    u = r sinh(beta B), the nested radical simplified."""
+    eb_hi, eb_lo, ej_hi, ej_lo, shift = e
+    z = (eb_hi + eb_lo) + (ej_hi + ej_lo)
+    u = 0.5 * (r * (eb_hi - eb_lo))
+    root = np.hypot(np.exp(-shift), u)
+    c, d = (root + u) / z, (root - u) / z
+    # c >= d as u >= 0: order the exchange pair, then merge the two pairs
+    a, b = ej_hi / z, ej_lo / z
+    a, b = _larger(a, b), _smaller(a, b)
+    s0, p = _larger(a, c), _smaller(a, c)
+    q, s3 = _larger(b, d), _smaller(b, d)
+    s1, s2 = _larger(p, q), _smaller(p, q)
+    return (s0, s1, s2, s3), 2.0 * s0 - (((s0 + s1) + s2) + s3)
+
+
 def pair_metrics(params):
     """Spin-flip spectrum roots, concurrence and maximal Bell overlap of the
-    thermal pair, all in closed form.
+    thermal pair, all in closed form, as Python floats.
 
     At T = 0, and wherever beta * max(B, |J|) overflows, the
     zero-temperature limits of the closed forms are used directly (the
     generic qcore oracles lose digits to square roots of roundoff-zero
-    eigenvalues on the rank-deficient ground states).  Otherwise everything
-    reduces to ratios of scaled hyperbolics; the nested radical in the
-    field-block roots simplifies to sqrt(1 + u^2) +- u with
-    u = (gamma J / B) sinh(beta B), which is the form used here.  The
-    threshold solver's scalar margins of kinds 1 and 2 are this function.
+    eigenvalues on the rank-deficient ground states).  Otherwise they are
+    the kernels `spin_flip_roots` and `bell_overlap`, which the threshold
+    solver runs on arrays.
     """
     j_abs = abs(params.J)
-    beta = params.beta
     big_b = params.b_script
-    h = scaled_hyperbolics(beta, big_b, j_abs)
-    if h is None:
+    e = scaled_exponentials(params.beta, big_b, j_abs)
+    if e is None:
         return _ground_metrics(params)
-    z = 2.0 * (h.ch_b + h.ch_j)  # partition function, scaled
     r = abs(params.gamma) * j_abs / big_b if big_b > 0.0 else 0.0
-    lam1 = math.exp(beta * j_abs - h.shift) / z
-    lam2 = math.exp(-beta * j_abs - h.shift) / z
-    u = r * h.sh_b
-    root = math.hypot(math.exp(-h.shift), u)
-    lam3 = (root + u) / z
-    lam4 = (root - u) / z
-    lams = tuple(sorted((lam1, lam2, lam3, lam4), reverse=True))
-    conc = max(2.0 * lams[0] - sum(lams), 0.0)
-    # the only two Bell overlaps that can win: the exchange-block maximum
-    # exp(beta |J|)/Z and the field-block maximum (cosh + r sinh)/Z
-    fef = max(lam1, (h.ch_b + r * h.sh_b) / z)
-    return PairMetrics(lams, conc, fef)
+    lams, excess = spin_flip_roots(e, r)
+    fef = bell_overlap(e, r)
+    return PairMetrics(tuple(float(lam) for lam in lams), max(float(excess), 0.0), float(fef))

@@ -146,6 +146,8 @@ def reference_critical(kind, gamma, eta, J=1.0, t_hi=None):
     width = critical._BRACKET_WIDTH_OVER_J * J
     while hi - lo > width:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # adjacent doubles, more than `width` apart above 2**26 J
+            break
         if f(mid) > 0.0:
             lo = mid
         else:

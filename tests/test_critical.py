@@ -2,6 +2,7 @@
 
 import logging
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -295,6 +296,9 @@ def test_sweep_matches_reference_solver(caplog, kind, gamma, etas, j):
     (3, 0.5, 0.4, 2.0, 7.3),
     (2, 0.6, 0.8, 0.37, None),  # T = 0 fallback on the degenerate boundary
     (1, 0.5, 1e305, 1.0, 1.0),  # B / T overflows below the ceiling
+    # B = hypot(eta, gamma) J overflows: every margin is its T = 0 limit
+    (1, 0.5, 1e10, 1e300, 1e301),
+    (3, 0.5, 1e10, 1e300, 1e301),
     (3, 0.2, 0.7, 1.0, 500.0),  # 10^4 scan points
     # ceilings at the floor: one-point grids, whose ceiling is also the floor
     (1, 0.3, 2.0, 1.0, critical._T_FLOOR_OVER_J),
@@ -307,25 +311,6 @@ def test_point_solvers_match_reference_solver(caplog, kind, gamma, eta, j, t_hi)
         got = solver(gamma, eta, J=j, t_hi=t_hi)
     want = reference_critical(kind, gamma, eta, J=j, t_hi=t_hi)
     _assert_same_roots([got], [r.getMessage() for r in caplog.records], [want])
-
-
-def test_ulp_noise_in_array_margins_moves_no_root(monkeypatch):
-    # the array forms may differ from the scalar ones by an ulp; margins
-    # that are zero or nearly so (flat regions at gamma = 0 and 1) are
-    # recomputed by the scalar forms, so such noise cannot add a crossing
-    array_margins = critical._scan_margins
-
-    def noisy(*args):
-        values = array_margins(*args)
-        return values + 1e-15 * np.where(np.arange(values.size) % 2, 1.0, -1.0)
-
-    monkeypatch.setattr(critical, "_scan_margins", noisy)
-    etas = _FIG1_ETAS + _TAIL_ETAS
-    for gamma in (0.0, 0.3, 1.0):
-        for kind in (1, 2, 3):
-            got = sweep(kind, gamma, etas)
-            want = [reference_critical(kind, gamma, float(eta))[0] for eta in etas]
-            assert [repr(r) for r in got] == [repr(r) for r in want]
 
 
 def _logged(solve):
@@ -354,7 +339,7 @@ def _logged(solve):
 )
 def test_random_sweeps_match_reference_solver(kind, gamma, j, etas):
     # fig1-grid etas share the 5 J ceiling, tail etas each have their own,
-    # so the scans, rechecks and lockstep bisection mix within one sweep
+    # so the scans and the lockstep bisection mix within one sweep
     got, messages = _logged(lambda: sweep(kind, gamma, etas, J=j))
     _assert_same_roots(got, messages, [reference_critical(kind, gamma, float(eta), J=j) for eta in etas])
 
@@ -382,12 +367,9 @@ def test_margin_pass_budget(monkeypatch, kind, fig1_passes, tail_passes):
         assert all(length % 128 == 0 and length <= 1024 for length in lengths)
 
 
-@pytest.mark.parametrize("kind, fig1_evals, tail_evals", [(1, 0, 0), (2, 0, 0), (3, 0, 30)])
-def test_scalar_recheck_budget(monkeypatch, kind, fig1_evals, tail_evals):
-    # scalar margins per sweep: the rechecks of array margins near zero and
-    # the T = 0 fallback, all through the public closed forms.  Only the
-    # margins the crossing rules and the bisection read are rechecked;
-    # rechecking every near-zero bisection node takes the kind-3 tail to 149
+def _counted_closed_forms(monkeypatch):
+    """The arguments of every call the solver makes to the public closed
+    forms, by the names it looks them up under."""
     evals = []
 
     def counted(closed_form):
@@ -398,22 +380,74 @@ def test_scalar_recheck_budget(monkeypatch, kind, fig1_evals, tail_evals):
 
     for name in ("pair_metrics", "fidelity_closed_form"):
         monkeypatch.setattr(critical, name, counted(getattr(critical, name)))
+    return evals
+
+
+@pytest.mark.parametrize("kind, fig1_evals, tail_evals", [(1, 0, 0), (2, 0, 0), (3, 0, 0)])
+def test_scalar_recheck_budget(monkeypatch, kind, fig1_evals, tail_evals):
+    # scalar closed-form calls per sweep: the array margins are the closed
+    # forms' kernels, so only the T = 0 fallback of a scan without a bracket
+    # calls a closed form, and no eta of these sweeps takes it
+    evals = _counted_closed_forms(monkeypatch)
     for etas, budget in ((_FIG1_ETAS, fig1_evals), (_TAIL_ETAS, tail_evals)):
         evals.clear()
         sweep(kind, 0.5, etas)
         assert len(evals) == budget
 
 
+def test_t0_fallback_is_the_only_scalar_call(monkeypatch):
+    # eta = 1.2 at gamma = 0 has no FEF crossing, so its root comes from the
+    # closed form at T = 0: one call, for that eta only
+    evals = _counted_closed_forms(monkeypatch)
+    results = sweep(2, 0.0, [0.4, 1.2, 0.9])
+    assert [p.T for (p,) in evals] == [0.0]
+    assert [p.eta for (p,) in evals] == [1.2]
+    assert results[1].t_over_j == 0.0
+
+
 def test_positive_ceiling_ends_the_scan_after_its_first_pass(monkeypatch):
-    # at eta = 1e305 every margin below this ceiling lies within 1e-13 of
-    # zero and is rechecked; the eta leaves its grid after the pass that
-    # holds its ceiling, not 10^6 scan points later
-    evals = []
-    metrics = critical.pair_metrics
-    monkeypatch.setattr(critical, "pair_metrics", lambda params: evals.append(params) or metrics(params))
+    # at eta = 1e305 the margin is about gamma / eta, positive, at every
+    # point of the first pass; the eta leaves its grid after the pass that
+    # holds its ceiling, not 10^6 scan points later, and no closed form is
+    # called for it
+    evals = _counted_closed_forms(monkeypatch)
+    passes = []
+    array_margins = critical._scan_margins
+    monkeypatch.setattr(critical, "_scan_margins", lambda *args: passes.append(args) or array_margins(*args))
     got, messages = _logged(lambda: t1_critical(0.5, 1e305, t_hi=5e4))
-    assert len(evals) <= critical._SCAN_LANES
+    assert len(evals) == 0
+    assert len(passes) == 1
     _assert_same_roots([got], messages, [reference_critical(1, 0.5, 1e305, t_hi=5e4)])
+
+
+def test_bisection_closes_brackets_above_two_to_the_26_j():
+    # the kind-2 root at eta = 1e10 lies near 4.1e8 J, where adjacent
+    # doubles are 6e-8 J apart: the 1e-8 J width is never reached, and the
+    # bracket closes at two neighbouring doubles instead
+    sweep_ = critical._Sweep(2, 0.5, [1e10], 1.0)
+    lo, hi = 4.0e8, 4.2e8
+    assert (sweep_.margins(np.zeros(2, dtype=np.intp), np.array([lo, hi])) > 0.0).tolist() == [True, False]
+    passes, margins = [], sweep_.margins
+
+    def counted(rows, t):
+        passes.append(t.size)
+        assert len(passes) <= 64, "the bisection does not terminate"
+        return margins(rows, t)
+
+    sweep_.margins = counted
+    start = time.perf_counter()
+    (got,) = critical._bisect(sweep_, [(lo, hi)], critical._BRACKET_WIDTH_OVER_J)
+    assert time.perf_counter() - start < 1.0
+    # the scalar loop of tests/helpers.py on the same bracket
+    while hi - lo > critical._BRACKET_WIDTH_OVER_J and 0.5 * (lo + hi) not in (lo, hi):
+        mid = 0.5 * (lo + hi)
+        if critical._MARGINS[2](ChainParams(J=1.0, gamma=0.5, eta=1e10, T=mid)) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    assert got == (lo, hi)
+    assert 4.0e8 < lo < hi <= lo + 2 * math.ulp(lo)
+    assert hi - lo > critical._BRACKET_WIDTH_OVER_J
 
 
 def test_scan_memory_stays_bounded_for_a_high_ceiling():
@@ -435,21 +469,43 @@ def test_scan_memory_stays_bounded_for_a_high_ceiling():
     )
 
 
-@settings(max_examples=400, derandomize=True, deadline=None)
+@settings(max_examples=300, derandomize=True, deadline=None)
 @given(
+    kind=st.sampled_from([1, 2, 3]),
     J=st.floats(1e-3, 1e3),
-    gamma=st.floats(0.0, 1.0),
-    eta=st.floats(0.0, 1e3),
-    T=st.floats(1e-6, 1e6),
+    lanes=st.lists(
+        st.tuples(
+            st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])),
+            # eta from 0 to 1e300, and cold lanes from 1e303, where B / T
+            # overflows near the scan floor
+            st.one_of(st.floats(0.0, 1e3), st.floats(0.0, 1e300), st.floats(1e303, 1e308)),
+            # T / J from the scan floor up
+            st.one_of(st.just(1.0), st.floats(1.0, 1e12)).map(lambda x: x * critical._T_FLOOR_OVER_J),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    data=st.data(),
 )
-def test_array_margins_match_scalar_margins(J, gamma, eta, T):
-    # numpy's exp is not libm's, so the array forms may differ by an ulp
-    T = max(T, 1e-6 * J)
-    b, r = critical._field_terms(gamma, eta, J)
-    for kind in (1, 2, 3):
-        value = critical._scan_margins(kind, J, np.array([b]), np.array([r]), np.array([T]))[0]
-        scalar = critical._MARGINS[kind](ChainParams(J=J, gamma=gamma, eta=eta, T=T))
-        assert abs(value - scalar) <= 1e-15
+def test_array_margins_match_scalar_margins(kind, J, lanes, data):
+    # one array per example, its lanes in a shuffled order and strided in
+    # memory: each value is bit for bit the public closed forms' margin, and
+    # lanes where B / T overflows take the closed forms' T -> 0 limit
+    order = data.draw(st.permutations(range(len(lanes))))
+    stride = data.draw(st.sampled_from([1, 2, 3]))
+    points = [lanes[i] for i in order]
+    arrays = np.zeros((3, stride * len(points)))
+    for p, (gamma, eta, t_over_j) in enumerate(points):
+        arrays[:, stride * p] = (*critical._field_terms(gamma, eta, J), t_over_j * J)
+    b, r, t = arrays[:, ::stride]
+    with np.errstate(all="ignore"):
+        values = critical._scan_margins(kind, J, b, r, t)
+    margin = critical._MARGINS[kind]
+    for value, (gamma, eta, t_over_j), b_lane, t_lane in zip(values.tolist(), points, b.tolist(), t.tolist()):
+        scalar = margin(ChainParams(J=J, gamma=gamma, eta=eta, T=t_over_j * J))
+        assert value == scalar
+        if 1.0 / t_lane * b_lane == math.inf:  # beta B, as the closed forms form it
+            assert value == margin(ChainParams(J=J, gamma=gamma, eta=eta, T=0.0)) == 0.0
 
 
 def _fig1_scan_temperatures():
@@ -475,4 +531,4 @@ def test_array_margins_match_scalar_margins_on_the_fig1_scan(kind, gamma):
         b, r = critical._field_terms(gamma, eta, 1.0)
         values = critical._scan_margins(kind, 1.0, np.full(ts.size, b), np.full(ts.size, r), ts)
         scalar = [critical._MARGINS[kind](ChainParams(J=1.0, gamma=gamma, eta=eta, T=t)) for t in ts.tolist()]
-        assert np.max(np.abs(values - scalar)) <= 1e-15, eta
+        assert values.tolist() == scalar, eta

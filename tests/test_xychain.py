@@ -488,8 +488,8 @@ def _eight_exponential_hyperbolics(beta, b_script, j_abs):
     m = max(xb, xj)
     if m == math.inf:
         return None
-    ch = lambda x: 0.5 * (math.exp(x - m) + math.exp(-x - m))
-    sh = lambda x: 0.5 * (math.exp(x - m) - math.exp(-x - m))
+    ch = lambda x: 0.5 * (np.exp(x - m) + np.exp(-x - m))
+    sh = lambda x: 0.5 * (np.exp(x - m) - np.exp(-x - m))
     return (ch(xb), ch(xj), sh(xb), sh(xj), m)
 
 
