@@ -10,14 +10,16 @@ root in temperature of a signed margin:
 Each margin is positive below its critical temperature and negative above
 it, so a descending scan from a ceiling finds the largest root; that
 bracket is then bisected.  All etas of a sweep are solved on one array
-path of numpy passes of bounded size: the scans start at the ceilings,
-the crossing rules run on whole passes of array margins, and the
-bisection steps all brackets in lockstep on them.  The passes run the
-numpy kernels of `pair_metrics` and `fidelity_closed_form` on arrays, so
-every sign is the one those public closed forms give.  For gamma > 0
-the thresholds grow roughly linearly in eta, and the scan ceiling
-follows the large-eta asymptote so the root never escapes the scanned
-window.
+path of numpy passes of bounded size: each eta's scan is one row of at
+most 102 temperatures from its ceiling, in steps of 0.05 J up to a 5 J
+ceiling and of a hundredth of the ceiling above, the crossing rules run
+along the rows, and the bisection steps all brackets in lockstep.  The
+passes run the numpy kernels of `pair_metrics` and
+`fidelity_closed_form` on arrays, so every sign is the one those public
+closed forms give.  For gamma > 0 the thresholds grow roughly linearly
+in eta, and the scan ceiling follows the large-eta asymptote so the root
+never escapes the scanned window; the bounded row keeps the solve's cost
+bounded however large the field or the ceiling.
 """
 
 import functools
@@ -43,13 +45,11 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _T_FLOOR_OVER_J = 1e-6
-_SCAN_STEP_OVER_J = 0.05
+_SCAN_STEP_OVER_J = 0.05  # the scan step up to a 5 J ceiling
+_SCAN_STEPS = 100  # steps from a ceiling above 5 J down to 0
 _BRACKET_WIDTH_OVER_J = 1e-8
-_SCAN_LANES = 1024  # margin values per scan pass, which bounds the scan's memory
+_SCAN_ROWS = 10  # eta scans per scan pass, which bounds the scan's memory
 _BISECT_LANES = 256  # midpoints per bisection pass
-# a pass's arrays span whole blocks of this many lanes, the rest padding: numpy keeps
-# up to 7 freed buffers of each size below 1 KB, which arbitrary lengths fill by MBs
-_PASS_QUANTUM = 128
 _LANES = np.arange(_BISECT_LANES)
 
 
@@ -164,70 +164,33 @@ class _Sweep:
         return _scan_margins(self.kind, self.j, self.b[rows], self.r[rows], t)
 
 
-class _Grid:
-    """The scan grid of the etas `members` (an array of at most _SCAN_LANES
-    indices) that share a ceiling: their b and r, the last point scanned
-    `t` (the ceiling at first, None after the floor) and their signs there
-    (None before the first pass)."""
-
-    def __init__(self, sweep, members, t_hi):
-        self.members, self.b, self.r = members, sweep.b[members], sweep.r[members]
-        self.t, self.signs = t_hi, None
-
-
-def _scan(sweep, grids, step, floor, f_hi, crossings, first):
-    """Carry the `grids` down from their ceilings through T - step,
-    T - 2 step, ... (repeated subtraction) to the first point at or below
-    the floor, which is the floor and the last: keep each eta's margin at
-    its ceiling in `f_hi`, count its crossings below and keep its first
-    upward bracket (T, previous T).  All grids share passes of at most
-    _SCAN_LANES lanes, each in turn taking the whole columns that still
-    fit: lane start + c * n + e is member e at column c, its previous point
-    n lanes back, and the last column carries into the grid's next pass.
-    A grid's first pass holds its ceiling as column 0, which gets no
-    crossing test; an eta whose margin is positive there leaves its grid
-    after that pass."""
-    acc = np.full(_SCAN_LANES + 1, step)
-    rows = np.zeros(_SCAN_LANES, dtype=np.intp)
-    b, r, t, before, previous = np.ones((5, _SCAN_LANES))
-    while grids:
-        size, segments = 0, []  # segment: (grid, first lane, last lane + 1)
-        for grid in grids:
-            n = grid.members.size
-            if size + n > _SCAN_LANES:
-                continue
-            # a first pass subtracts 0.0 once, so its column 0 is the ceiling
-            acc[:2] = grid.t, (0.0 if grid.signs is None else step)
-            ts = np.subtract.accumulate(acc)
-            width = (_SCAN_LANES - size) // n
-            if ts[width] <= floor:
-                width = int((ts[1:] <= floor).nonzero()[0][0]) + 1
-                ts[width] = floor
-            for lanes, value in ((rows, grid.members), (b, grid.b), (r, grid.r),
-                                 (t, ts[1:width + 1, None]), (before, ts[:width, None])):
-                lanes[size:size + width * n].reshape(width, n)[:] = value
-            segments.append((grid, size, size + width * n))
-            size += width * n
-        padded = -(-size // _PASS_QUANTUM) * _PASS_QUANTUM
-        values = _scan_margins(sweep.kind, sweep.j, b[:padded], r[:padded], t[:padded])
-        current = np.sign(values)
-        for grid, start, stop in segments:
-            n, ceiling = grid.members.size, grid.signs is None
-            if ceiling:
-                f_hi[grid.members], grid.signs = values[start:start + n], current[start:start + n]
-            previous[start:start + n], previous[start + n:stop] = grid.signs, current[start:stop - n]
-            grid.t, grid.signs = None if t[stop - 1] <= floor else t[stop - 1], current[stop - n:stop]
-            if ceiling:  # a ceiling that leaves the margin positive ends the eta's scan
-                keep = ~(values[start:start + n] > 0.0)
-                grid.members, grid.b, grid.r, grid.signs = (x[keep] for x in (grid.members, grid.b, grid.r, grid.signs))
+def _scan(sweep, rows, t_his, floor, f_hi, crossings, first):
+    """Scan the etas `rows` down from their ceilings `t_his`: keep each
+    one's margin at its ceiling in `f_hi`, count its crossings below and
+    keep its first upward bracket (T, previous T) in `first`.  An eta's
+    scan is one row: its ceiling, then T - s, T - 2 s, ... (repeated
+    subtraction), the first point at or below the floor clamped to it and
+    the rest of the row padded with the floor, which adds no crossing.
+    The step s is 0.05 J up to a 5 J ceiling and t_hi / _SCAN_STEPS above
+    it, so a row of _SCAN_STEPS + 2 points always reaches the floor.  A
+    pass takes _SCAN_ROWS whole rows."""
+    for start in range(0, rows.size, _SCAN_ROWS):
+        part, ceilings = rows[start:start + _SCAN_ROWS], t_his[start:start + _SCAN_ROWS]
+        steps = np.where(ceilings > 5.0 * sweep.j, ceilings / _SCAN_STEPS, _SCAN_STEP_OVER_J * sweep.j)
+        acc = np.empty((part.size, _SCAN_STEPS + 2))
+        acc[:, 0], acc[:, 1:] = ceilings, steps[:, None]
+        t = np.maximum(np.subtract.accumulate(acc, axis=1), floor)
+        values = sweep.margins(part[:, None], t)
+        current = np.sign(values[:, 1:])
         # strict sign on the current point, so margins that merely
         # underflow to exact zero near T = 0 do not count as crossings
-        for p in ((current != previous[:padded]) & (current != 0.0))[:size].nonzero()[0].tolist():
-            i = rows[p]
-            crossings[i] += 1
-            if first[i] is None and current[p] > 0.0:
-                first[i] = (float(t[p]), float(before[p]))
-        grids = [grid for grid in grids if grid.t is not None and grid.members.size]
+        cross = (current != np.sign(values[:, :-1])) & (current != 0.0)
+        upward = cross & (current > 0.0)
+        f_hi[part], crossings[part] = values[:, 0], cross.sum(axis=1)
+        found = upward.any(axis=1).nonzero()[0]
+        col = upward[found].argmax(axis=1)
+        for i, lo, hi in zip(part[found].tolist(), t[found, col + 1].tolist(), t[found, col].tolist()):
+            first[i] = (lo, hi)
 
 
 @functools.cache
@@ -282,7 +245,9 @@ def _bisect(sweep, first, width):
             np.copyto(t_hi, mid, where=to_lower)
         t = 0.5 * (t_lo + t_hi)
         positive = sweep.margins(rows, t) > 0.0
-        wide = _open(t_lo, t_hi, t, width)
+        # the width alone: in a bracket closed at neighbouring doubles the
+        # midpoint is an end, and its sign moves that end onto itself
+        wide = t_hi - t_lo > width
         # each lane's next lane: its child by the sign, or itself where the
         # bracket is closed, and the scalar loop stops
         after = np.where(wide, np.where(positive, upper, lower), _LANES)
@@ -297,39 +262,39 @@ def _bisect(sweep, first, width):
 
 def _solve(kind, gamma, etas, j, t_his):
     """Roots of one margin kind at each (eta, scan ceiling) pair, on one
-    array path of numpy passes of at most _SCAN_LANES values (`_Sweep`),
-    which keeps memory bounded and flat for any ceiling and sweep.
+    array path of numpy passes of bounded size (`_Sweep`), which keeps
+    memory bounded and flat for any ceiling and sweep, and of bounded
+    number for any ceiling.
 
-    First the descending scans, which start at the ceilings: the etas that
-    share a ceiling on one grid, all grids in the same passes, with the
-    crossing rules applied to whole passes of array margins (`_scan`).  An
-    eta whose margin is positive at its ceiling stops after the first pass.
-    Then the bisection of every other eta's first upward bracket, all in
-    lockstep on the array margins (`_bisect`).  The array margins are the
-    public closed forms' kernels, bit for bit, so each sign, bracket, root
-    and warning is the one a point-by-point scalar solver gives; only the
-    T = 0 fallback of `_root` calls a closed form itself.
+    First the descending scans, which start at the ceilings: one row of at
+    most 102 points per eta, whole rows per pass, with the crossing rules
+    applied along each row (`_scan`).  Then the bisection of the first
+    upward bracket of every eta whose margin is not positive at its
+    ceiling, all in lockstep on the array margins (`_bisect`).  The array
+    margins are the public closed forms' kernels, bit for bit, so each
+    sign, bracket, root and warning is the one a point-by-point scalar
+    solver on the same grid gives; only the T = 0 fallback of `_root`
+    calls a closed form itself.
     """
     floor = _T_FLOOR_OVER_J * j
     sweep = _Sweep(kind, gamma, etas, j)
-    crossings, first, f_hi = [0] * len(etas), [None] * len(etas), np.empty(len(etas))
-    groups = {}
-    for i, t_hi in enumerate(t_his):
+    f_hi, crossings, first = np.empty(len(etas)), np.zeros(len(etas), dtype=np.intp), [None] * len(etas)
+    rows = []
+    for i, eta in enumerate(etas):
         if sweep.b[i] < math.inf:
-            groups.setdefault(t_hi, []).append(i)
+            rows.append(i)
         else:  # B / T overflows at every T, where the margin is its T = 0 limit
-            f_hi[i] = _MARGINS[kind](ChainParams(J=j, gamma=gamma, eta=etas[i], T=0.0))
-    grids = [_Grid(sweep, np.array(members[s:s + _SCAN_LANES]), t_hi)
-             for t_hi, members in groups.items() for s in range(0, len(members), _SCAN_LANES)]
+            f_hi[i] = _MARGINS[kind](ChainParams(J=j, gamma=gamma, eta=eta, T=0.0))
+    rows = np.array(rows, dtype=np.intp)
     with np.errstate(all="ignore"):
-        _scan(sweep, grids, _SCAN_STEP_OVER_J * j, floor, f_hi, crossings, first)
+        _scan(sweep, rows, np.array(t_his)[rows], floor, f_hi, crossings, first)
         f_hi = f_hi.tolist()
-        # brackets an eta found in its first pass below a positive ceiling
+        # a positive ceiling leaves the eta without a root: no bisection
         first = [None if f > 0.0 else bracket for f, bracket in zip(f_hi, first)]
         brackets = _bisect(sweep, first, _BRACKET_WIDTH_OVER_J * j)
     return [
         _root(kind, gamma, eta, j, t_hi, floor, *state)
-        for eta, t_hi, state in zip(etas, t_his, zip(f_hi, crossings, brackets))
+        for eta, t_hi, state in zip(etas, t_his, zip(f_hi, crossings.tolist(), brackets))
     ]
 
 

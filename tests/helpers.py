@@ -84,10 +84,12 @@ def three_tangle(psi):
     return float(4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3))
 
 
-def reference_critical(kind, gamma, eta, J=1.0, t_hi=None):
+def reference_critical(kind, gamma, eta, J=1.0, t_hi=None, step=None):
     """The critical-temperature solver with its descending scan evaluated
-    one scalar closed form per temperature.  Returns (result, messages),
-    with the warnings it would log as formatted strings."""
+    one scalar closed form per temperature.  The scan steps 0.05 J down
+    from a ceiling of at most 5 J, and a hundredth of the ceiling from a
+    higher one, unless `step` is given.  Returns (result, messages), with
+    the warnings it would log as formatted strings."""
     critical._check_domain(gamma, eta, J)
     if t_hi is None:
         t_hi = critical._default_t_hi(kind, gamma, eta, J)
@@ -101,7 +103,8 @@ def reference_critical(kind, gamma, eta, J=1.0, t_hi=None):
         return critical.CriticalResult(kind, gamma, eta, t_over_j, bracket, converged), messages
 
     floor = critical._T_FLOOR_OVER_J * J
-    step = critical._SCAN_STEP_OVER_J * J
+    if step is None:
+        step = critical._SCAN_STEP_OVER_J * J if t_hi <= 5.0 * J else t_hi / 100
     f_hi = f(t_hi)
     if f_hi > 0.0:
         messages.append(

@@ -169,6 +169,15 @@ def test_critical_command(capsys):
     assert payload["t_over_j"] == pytest.approx(0.43810, abs=1e-4)
 
 
+def test_critical_command_at_a_huge_field(capsys):
+    # the default ceiling is about 4e197 J; the scan steps a hundredth of it
+    code, out, _ = _run(capsys, ["critical", "--kind", "1", "--gamma", "0.5", "--eta", "1e200"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["converged"] is True
+    assert payload["t_over_j"] == pytest.approx(2.1649552448366e197, rel=1e-9)
+
+
 def test_critical_nonconvergence_exit_code(capsys, monkeypatch):
     def fake(gamma, eta, J=1.0, *, t_hi=None):
         return CriticalResult(3, gamma, eta, math.nan, None, False)

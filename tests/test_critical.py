@@ -261,17 +261,18 @@ _SWEEPS = (
     [(kind, 0.0, [round(0.1 * i, 1) for i in range(10)], 1.0) for kind in (2, 3)]
     # the fig1 grid, which holds the kind-1 re-entrant points at gamma = 0.3
     + [(kind, g, _FIG1_ETAS, 1.0) for g in (0.0, 0.3, 1.0) for kind in (1, 2, 3)]
-    # large-field tails, where every eta has its own ceiling
+    # large-field tails, where every eta has its own ceiling above 5 J and
+    # its scan steps a hundredth of it
     + [(kind, g, _TAIL_ETAS, 1.0) for g in (0.3, 1.0) for kind in (1, 2, 3)]
     + [(kind, 0.4, [0.0, 0.5, 1.0, 1.5, 3.0, 50.0], j) for j in (0.37, 2.0) for kind in (1, 2, 3)]
     # roots below the scan floor
     + [(kind, 0.003, [1.0], 1.0) for kind in (2, 3)]
     # more etas than one pass holds, scanned and bisected in several blocks
     + [(1, 0.3, list(np.linspace(0.0, 2.0, 300)), 1.0)]
-    # 7 to 11 ceilings scanned in shared passes, their grids ending in different ones
+    # rows of 5 J ceilings and tail rows mixed within passes
     + [(kind, 0.3, _FIG1_ETAS + [2.5, 12.0, 16.0, 30.0, 55.0, 80.0, 120.0, 200.0, 11.0, 300.0, 500.0], 1.0)
        for kind in (1, 2, 3)]
-    # one eta whose grid of over 1024 points spans several passes
+    # ceilings of about 60 J, which took over 1024 points at 0.05 J
     + [(1, 0.5, [200.0], 1.0), (2, 0.5, [200.0], 1.0), (3, 0.5, [700.0], 1.0)]
 )
 
@@ -299,7 +300,9 @@ def test_sweep_matches_reference_solver(caplog, kind, gamma, etas, j):
     # B = hypot(eta, gamma) J overflows: every margin is its T = 0 limit
     (1, 0.5, 1e10, 1e300, 1e301),
     (3, 0.5, 1e10, 1e300, 1e301),
-    (3, 0.2, 0.7, 1.0, 500.0),  # 10^4 scan points
+    (3, 0.2, 0.7, 1.0, 500.0),  # steps of 5 J
+    # steps of 5 J miss the re-entrant window: one crossing, no warning
+    (1, 0.3, 2.0, 1.0, 500.0),
     # ceilings at the floor: one-point grids, whose ceiling is also the floor
     (1, 0.3, 2.0, 1.0, critical._T_FLOOR_OVER_J),
     (3, 0.5, 0.4, 2.0, critical._T_FLOOR_OVER_J * 2.0),
@@ -344,27 +347,27 @@ def test_random_sweeps_match_reference_solver(kind, gamma, j, etas):
     _assert_same_roots(got, messages, [reference_critical(kind, gamma, float(eta), J=j) for eta in etas])
 
 
-@pytest.mark.parametrize("kind, fig1_passes, tail_passes", [(1, 21, 8), (2, 21, 8), (3, 21, 6)])
-def test_margin_pass_budget(monkeypatch, kind, fig1_passes, tail_passes):
-    # numpy margin passes per sweep: whole grid columns of every ceiling's
-    # grid, each grid's ceiling its first column, in the same passes of up
-    # to 1024 lanes, then the lockstep bisection; the fixed cost of a pass
-    # sets a root's cost.
-    # Pass lengths are whole blocks of 128 lanes, so that numpy's cache of
-    # freed buffers under 1 KB holds a few sizes, not one per pass length
-    lengths = []
+def _margin_passes(monkeypatch):
+    """A list that grows by one per numpy margin pass of the solver."""
+    passes = []
     array_margins = critical._scan_margins
+    monkeypatch.setattr(critical, "_scan_margins", lambda *args: passes.append(args) or array_margins(*args))
+    return passes
 
-    def counted(*args):
-        lengths.append(args[-1].size)
-        return array_margins(*args)
 
-    monkeypatch.setattr(critical, "_scan_margins", counted)
-    for etas, passes in ((_FIG1_ETAS, fig1_passes), (_TAIL_ETAS, tail_passes)):
-        lengths.clear()
+@pytest.mark.parametrize("kind, fig1_passes, tail_passes", [(1, 21, 7), (2, 21, 7), (3, 21, 6)])
+def test_margin_pass_budget(monkeypatch, kind, fig1_passes, tail_passes):
+    # numpy margin passes per sweep: the scan rows of 102 points, up to 10
+    # rows a pass, then the lockstep bisection in passes of 256 lanes; the
+    # fixed cost of a pass sets a root's cost.  The few pass lengths keep
+    # numpy's cache of freed buffers under 1 KB small
+    passes = _margin_passes(monkeypatch)
+    for etas, budget in ((_FIG1_ETAS, fig1_passes), (_TAIL_ETAS, tail_passes)):
+        passes.clear()
         sweep(kind, 0.5, etas)
-        assert len(lengths) == passes
-        assert all(length % 128 == 0 and length <= 1024 for length in lengths)
+        lengths = [args[-1].size for args in passes]
+        assert len(lengths) == budget
+        assert all(length == 256 or (length % 102 == 0 and length <= 1020) for length in lengths)
 
 
 def _counted_closed_forms(monkeypatch):
@@ -406,14 +409,11 @@ def test_t0_fallback_is_the_only_scalar_call(monkeypatch):
 
 
 def test_positive_ceiling_ends_the_scan_after_its_first_pass(monkeypatch):
-    # at eta = 1e305 the margin is about gamma / eta, positive, at every
-    # point of the first pass; the eta leaves its grid after the pass that
-    # holds its ceiling, not 10^6 scan points later, and no closed form is
-    # called for it
+    # at eta = 1e305 the margin is about gamma / eta, positive, at the
+    # ceiling: the eta's one scan row is its only pass, no bracket is
+    # bisected and no closed form is called for it
     evals = _counted_closed_forms(monkeypatch)
-    passes = []
-    array_margins = critical._scan_margins
-    monkeypatch.setattr(critical, "_scan_margins", lambda *args: passes.append(args) or array_margins(*args))
+    passes = _margin_passes(monkeypatch)
     got, messages = _logged(lambda: t1_critical(0.5, 1e305, t_hi=5e4))
     assert len(evals) == 0
     assert len(passes) == 1
@@ -451,7 +451,8 @@ def test_bisection_closes_brackets_above_two_to_the_26_j():
 
 
 def test_scan_memory_stays_bounded_for_a_high_ceiling():
-    # about 10^6 scan points; the whole grid as an array alone would be 8 MB
+    # one scan row of 102 points in steps of 500 J, where steps of 0.05 J
+    # took 10^6 points
     tracemalloc.start()
     try:
         result = t3_critical(0.5, 0.4, t_hi=5e4)
@@ -459,14 +460,44 @@ def test_scan_memory_stays_bounded_for_a_high_ceiling():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
-    # repr(reference_critical(3, 0.5, 0.4, t_hi=5e4)[0]) from tests/helpers.py,
-    # computed once, before the array passes were last reworked, and stored:
-    # that reference walks the 10^6 scan points one scalar closed form at a
-    # time, which takes ~10 s
+    # repr(reference_critical(3, 0.5, 0.4, t_hi=5e4)[0]) from tests/helpers.py
     assert repr(result) == (
-        "CriticalResult(kind=3, gamma=0.5, eta=0.4, t_over_j=0.4501122813810498, "
-        "bracket=(0.4501122784008176, 0.45011228436128203), converged=True)"
+        "CriticalResult(kind=3, gamma=0.5, eta=0.4, t_over_j=0.45011228077948784, "
+        "bracket=(0.45011227714150903, 0.45011228441746665), converged=True)"
     )
+    # the root of the 0.05 J grid, 6.0e-10 J away
+    assert result.t_over_j == pytest.approx(0.4501122813810498, abs=1e-8)
+
+
+@pytest.mark.parametrize("kind", [1, 2, 3])
+def test_solve_work_is_bounded_at_any_field_and_ceiling(monkeypatch, kind):
+    # one scan pass, then bisection from a bracket a hundredth of the
+    # ceiling wide down to 1e-8 J or to neighbouring doubles, 8 halvings a
+    # pass: at most ~1020 halvings from a 1e300 J ceiling
+    solver = {1: t1_critical, 2: t2_critical, 3: t3_critical}[kind]
+    passes = _margin_passes(monkeypatch)
+    for eta in (1e3, 1e8, 1e50, 1e200, 1e300):
+        passes.clear()
+        assert solver(0.5, eta).converged
+        assert len(passes) <= 10, eta
+    for t_hi in (50.0, 5e4, 1e300):
+        passes.clear()
+        assert solver(0.5, 0.4, t_hi=t_hi).converged
+        assert len(passes) <= 130, t_hi
+
+
+def test_roots_match_the_fine_grid_roots():
+    # a ceiling above 5 J is scanned in steps of a hundredth of it; each
+    # root stays within 1e-8 J of the 0.05 J grid's, both brackets being
+    # at most 1e-8 J wide around the same root
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        kind, gamma = int(rng.integers(1, 4)), float(rng.choice([0.05, 0.3, 0.5, 1.0]))
+        eta = math.exp(rng.uniform(math.log(2.0), math.log(5e3)))
+        got = {1: t1_critical, 2: t2_critical, 3: t3_critical}[kind](gamma, eta)
+        want, _ = reference_critical(kind, gamma, eta, step=critical._SCAN_STEP_OVER_J)
+        assert got.converged == want.converged, (kind, gamma, eta)
+        assert got.t_over_j == pytest.approx(want.t_over_j, abs=1e-8), (kind, gamma, eta)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
