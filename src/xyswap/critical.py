@@ -30,7 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .teleport import fidelity_closed_form, fidelity_coefficients
-from .xychain import ChainParams, bell_overlap, pair_metrics, scaled_exponentials, spin_flip_roots
+from .xychain import (
+    ChainParams, bell_overlap, field_terms, is_finite, pair_metrics, scaled_exponentials, spin_flip_roots,
+)
 
 __all__ = [
     "CriticalResult",
@@ -67,7 +69,7 @@ class CriticalResult:
 
 def _check_domain(gamma, eta, j):
     for name, value in (("gamma", gamma), ("eta", eta), ("J", j)):
-        if not math.isfinite(value):
+        if not is_finite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma!r}")
@@ -126,19 +128,12 @@ def _default_t_hi(kind, gamma, eta, j):
     return t_hi
 
 
-def _field_terms(gamma, eta, j):
-    """The gap scale B and the ratio gamma J / B (0 where B = 0), formed as
-    the scalar closed forms form them."""
-    b = math.hypot(eta, gamma) * j
-    return b, (gamma * j / b if b > 0.0 else 0.0)
-
-
 def _scan_margins(kind, j, b, r, t):
     """The kind's margin at temperatures t > 0 for J > 0, with b and r from
-    `_field_terms`, arrays of one shape: the closed forms' kernels, so each
+    `field_terms`, arrays of one shape: the closed forms' kernels, so each
     value is bit for bit that of `_MARGINS`.  Where beta B overflows (at
-    T >= 1e-6 J, hypot(eta, gamma) above ~1.8e302) the kernels give NaN and
-    the closed forms their T -> 0 limit, 0 for every kind there."""
+    T >= 1e-6 J, hypot(eta, gamma) above ~1.8e302) the kernels give NaN, set
+    to 0, the margin of their T -> 0 input there (`kernel_inputs`)."""
     e = scaled_exponentials(1.0 / t, b, j)
     if kind == 1:
         margin = spin_flip_roots(e, r)[1]
@@ -157,7 +152,7 @@ class _Sweep:
 
     def __init__(self, kind, gamma, etas, j):
         self.kind, self.j = kind, j
-        terms = [_field_terms(gamma, eta, j) for eta in etas]
+        terms = [field_terms(gamma, eta, j) for eta in etas]
         self.b, self.r = np.array([b for b, _ in terms]), np.array([r for _, r in terms])
 
     def margins(self, rows, t):
@@ -334,7 +329,7 @@ def _ceiling(kind, gamma, eta, j, t_hi):
     _check_domain(gamma, eta, j)
     if t_hi is None:
         return _default_t_hi(kind, gamma, eta, j)
-    if not (math.isfinite(t_hi) and t_hi >= _T_FLOOR_OVER_J * j):
+    if not (is_finite(t_hi) and t_hi >= _T_FLOOR_OVER_J * j):
         raise ValueError(f"t_hi must be finite and at least {_T_FLOOR_OVER_J:g} J, got {t_hi!r}")
     return t_hi
 
@@ -364,8 +359,9 @@ def sweep(kind, gamma, eta_grid, J=1.0):
     if isinstance(kind, bool) or not isinstance(kind, (int, np.integer)) or kind not in _MARGINS:
         raise ValueError(f"kind must be 1, 2 or 3, got {kind!r}")
     _check_domain(gamma, 0.0, J)  # gamma and J once, whatever the grid
-    etas = [float(eta) for eta in eta_grid]
+    etas = list(eta_grid)
     for eta in etas:
-        if not 0.0 <= eta < math.inf:
+        if not (is_finite(eta) and eta >= 0.0):
             _check_domain(gamma, eta, J)  # raises the eta's error
+    etas = [float(eta) for eta in etas]
     return _solve(int(kind), gamma, etas, J, [_default_t_hi(kind, gamma, eta, J) for eta in etas])

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import qcore
 from .swapnet import swap_all
-from .xychain import ground_region, scaled_exponentials
+from .xychain import kernel_inputs
 
 __all__ = [
     "TeleportConfig",
@@ -200,8 +200,8 @@ def fidelity_simulated(params, cfg=None):
 
 
 def fidelity_coefficients(e, r):
-    """(c1, c2) from the pair's `scaled_exponentials` e and its field ratio
-    r = |gamma J| / B (0 where B = 0), floats or arrays: ratios of terms of
+    """(c1, c2) from the pair's kernel inputs (e, r), as `xychain`'s
+    kernels take them, floats or arrays: ratios of terms of
     one degree in twice the scaled hyperbolics, powers as products, and
     sh_j^3 + r sh_j^2 sh_b + r^2 sh_j sh_b^2 + r^3 sh_b^3 factored."""
     eb_hi, eb_lo, ej_hi, ej_lo, _ = e
@@ -214,32 +214,12 @@ def fidelity_coefficients(e, r):
 
 def fidelity_closed_form(params, cfg=None):
     """Closed-form average fidelity coefficients (c1, c2) and their value
-    c1 + c2 cos(mu) sin(mu), as Python floats.
-
-    Evaluated on |J|, |gamma|, |eta| (sign flips are local unitaries).  At
-    T = 0, and wherever beta * max(B, |J|) overflows, the coefficients take
-    their limiting values per `ground_region`, and else are the kernel
-    `fidelity_coefficients`, which the threshold solver runs on arrays.
-    """
+    c1 + c2 cos(mu) sin(mu), as Python floats: the kernel
+    `fidelity_coefficients` on `xychain.kernel_inputs`, so T = 0 and
+    overflowing beta * max(B, |J|) give the limiting values.  Evaluated on
+    |J|, |gamma|, |eta| (sign flips are local unitaries)."""
     cfg = cfg if cfg is not None else TeleportConfig()
-    g = abs(params.gamma)
-    j = abs(params.J)
-    e = scaled_exponentials(params.beta, params.b_script, j)
-    if e is None:
-        region, s = ground_region(params)
-        if region == "free":
-            c1, c2 = 0.5, 0.0
-        elif region == "boundary":
-            c1 = 0.5
-            c2 = (1.0 + g + g**2 + g**3) / 12.0
-        elif region == "exchange":
-            c1, c2 = 2.0 / 3.0, 2.0 / 3.0
-        else:
-            r = g / math.sqrt(s)
-            c1, c2 = 2.0 / 3.0, (2.0 / 3.0) * r**3
-    else:
-        r = g * j / params.b_script if params.b_script > 0.0 else 0.0
-        c1, c2 = (float(c) for c in fidelity_coefficients(e, r))
+    c1, c2 = (float(c) for c in fidelity_coefficients(*kernel_inputs(params)))
     phi = c1 + c2 * math.cos(cfg.mu) * math.sin(cfg.mu)
     return TeleportResult(c1=c1, c2=c2, phi_closed=phi)
 

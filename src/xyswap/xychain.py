@@ -29,6 +29,7 @@ __all__ = [
     "SpectrumXY",
     "PairMetrics",
     "HyperbolicWeights",
+    "field_terms",
     "scaled_exponentials",
     "scaled_hyperbolics",
     "ground_region",
@@ -38,11 +39,20 @@ __all__ = [
     "ground_state",
     "bell_overlap",
     "spin_flip_roots",
+    "kernel_inputs",
     "pair_metrics",
 ]
 
 _CASE_TOL = 1e-12  # tie tolerance when classifying eta^2 + gamma^2 against 1
 _ETA_SQUARE_MAX = math.sqrt(sys.float_info.max)  # the largest double whose square is finite
+
+
+def is_finite(value):
+    """`math.isfinite`, False (not OverflowError) for an int too large for a float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -57,7 +67,7 @@ class ChainParams:
     def __post_init__(self):
         for name in ("J", "gamma", "eta", "T"):
             value = getattr(self, name)
-            if not math.isfinite(value):
+            if not is_finite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if not -1.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [-1, 1], got {self.gamma!r}")
@@ -114,12 +124,18 @@ def _smaller(x, y):
     return np.minimum(x, y) if isinstance(x, np.ndarray) else min(x, y)
 
 
+def field_terms(gamma, eta, j):
+    """B = hypot(eta, gamma) j and r = gamma j / B (0 where B = 0), for gamma, eta, j >= 0."""
+    b = math.hypot(eta, gamma) * j
+    return b, (gamma * j / b if b > 0.0 else 0.0)
+
+
 def scaled_exponentials(beta, b_script, j_abs):
     """(exp(xb - m), exp(-xb - m), exp(xj - m), exp(-xj - m), m) with
     xb = beta*b_script, xj = beta*j_abs and the shift m = max(xb, xj), for
     floats or numpy arrays alike.  Where beta or m overflows (T = 0
-    included) floats give None, and callers take the T -> 0 limits of
-    `ground_region` instead; array lanes there are NaN."""
+    included) floats give None, where `kernel_inputs` takes the T -> 0
+    limit, and array lanes NaN, which `critical._scan_margins` handles."""
     xb = beta * b_script
     xj = beta * j_abs
     m = _larger(xb, xj)
@@ -244,8 +260,7 @@ def ground_region(params):
     eigenstate wins), 'boundary' at 1 (it ties with the field-aligned
     eigenstate) and 'field' above (the field-aligned eigenstate wins).
     Where eta**2 would overflow (|eta| above ~1.34e154) the region is
-    'field' and s is +inf, so the field ratio |gamma| / sqrt(s), below
-    1e-154 there, is taken as 0.
+    'field' and s is +inf.
     """
     if abs(params.eta) > _ETA_SQUARE_MAX:
         s = math.inf
@@ -278,24 +293,8 @@ def ground_state(params):
     return qcore.ket_density(spec.kets[3])
 
 
-def _ground_metrics(params):
-    """T -> 0 limits of the spin-flip roots, concurrence and Bell overlap,
-    per `ground_region`."""
-    region, s = ground_region(params)
-    if region == "free":
-        return PairMetrics((0.25, 0.25, 0.25, 0.25), 0.0, 0.25)
-    g = abs(params.gamma)
-    if region == "boundary":
-        lams = (0.5, 0.5 * g, 0.0, 0.0)
-        return PairMetrics(lams, 0.5 * (1.0 - g), 0.5)
-    if region == "exchange":
-        return PairMetrics((1.0, 0.0, 0.0, 0.0), 1.0, 1.0)
-    r = g / math.sqrt(s)
-    return PairMetrics((r, 0.0, 0.0, 0.0), r, 0.5 * (1.0 + r))
-
-
-# The kernels take the `scaled_exponentials` e and the field ratio
-# r = |gamma J| / B (0 where B = 0), floats or arrays.  The sum and the
+# The kernels take (e, r) as `kernel_inputs` gives them, as floats, or as
+# arrays of `scaled_exponentials` and `field_terms`.  The sum and the
 # difference of an exponential pair are twice a scaled cosh and sinh.
 
 
@@ -327,23 +326,33 @@ def spin_flip_roots(e, r):
     return (s0, s1, s2, s3), 2.0 * s0 - (((s0 + s1) + s2) + s3)
 
 
+def kernel_inputs(params):
+    """The kernels' inputs (e, r) at every T >= 0: `scaled_exponentials`
+    and r from `field_terms`, or where beta * max(B, |J|) overflows their
+    T -> 0 limit per `ground_region`: weight 1 on each block whose ground
+    level wins (both at the boundary) under an infinite shift, and
+    r = |gamma| / sqrt(s), 0 where s overflows or underflows (the exchange
+    region, where r weighs nothing); the free pair is maximally mixed."""
+    g, j = abs(params.gamma), abs(params.J)
+    b, r = field_terms(g, abs(params.eta), j)
+    e = scaled_exponentials(params.beta, b, j)
+    if e is None:
+        region, s = ground_region(params)
+        if region == "free":
+            return (1.0, 1.0, 1.0, 1.0, 0.0), 0.0
+        e = (float(region != "exchange"), 0.0, float(region != "field"), 0.0, math.inf)
+        r = g / math.sqrt(s) if s > 0.0 else 0.0
+    return e, r
+
+
 def pair_metrics(params):
     """Spin-flip spectrum roots, concurrence and maximal Bell overlap of the
-    thermal pair, all in closed form, as Python floats.
-
-    At T = 0, and wherever beta * max(B, |J|) overflows, the
-    zero-temperature limits of the closed forms are used directly (the
-    generic qcore oracles lose digits to square roots of roundoff-zero
-    eigenvalues on the rank-deficient ground states).  Otherwise they are
-    the kernels `spin_flip_roots` and `bell_overlap`, which the threshold
-    solver runs on arrays.
-    """
-    j_abs = abs(params.J)
-    big_b = params.b_script
-    e = scaled_exponentials(params.beta, big_b, j_abs)
-    if e is None:
-        return _ground_metrics(params)
-    r = abs(params.gamma) * j_abs / big_b if big_b > 0.0 else 0.0
+    thermal pair in closed form, as Python floats: the kernels
+    `spin_flip_roots` and `bell_overlap` on `kernel_inputs`, so T = 0 and
+    overflowing beta * max(B, |J|) give the zero-temperature limits (the
+    generic qcore oracles lose digits there to square roots of roundoff-zero
+    eigenvalues on the rank-deficient ground states)."""
+    e, r = kernel_inputs(params)
     lams, excess = spin_flip_roots(e, r)
     fef = bell_overlap(e, r)
     return PairMetrics(tuple(float(lam) for lam in lams), max(float(excess), 0.0), float(fef))

@@ -21,7 +21,7 @@ from xyswap.critical import (
     t3_asymptote,
     t3_critical,
 )
-from xyswap.xychain import ChainParams, pair_metrics, thermal_state
+from xyswap.xychain import ChainParams, field_terms, pair_metrics, thermal_state
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +248,22 @@ def test_domain_validation():
         t3_critical(0.5, 0.0, J=2.0, t_hi=1.5e-6)
     with pytest.raises(ValueError):
         t1_critical(math.nan, 0.0)
+
+
+_HUGE = 10**400  # an int too large for a float
+
+
+@pytest.mark.parametrize("call", [
+    lambda: t1_critical(0.5, 0.0, t_hi=_HUGE),
+    lambda: t1_critical(0.5, _HUGE),
+    lambda: t3_critical(0.5, 1.0, _HUGE),
+    lambda: t2_asymptote(0.5, _HUGE),
+    lambda: sweep(1, 0.5, [_HUGE]),
+    lambda: ChainParams(J=_HUGE, gamma=0.0, eta=0.0, T=1.0),
+], ids=["t_hi", "eta", "J", "asymptote", "sweep_eta", "chain_params"])
+def test_ints_too_large_for_a_float_are_not_finite(call):
+    with pytest.raises(ValueError, match="must be finite"):
+        call()
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +543,7 @@ def test_array_margins_match_scalar_margins(kind, J, lanes, data):
     points = [lanes[i] for i in order]
     arrays = np.zeros((3, stride * len(points)))
     for p, (gamma, eta, t_over_j) in enumerate(points):
-        arrays[:, stride * p] = (*critical._field_terms(gamma, eta, J), t_over_j * J)
+        arrays[:, stride * p] = (*field_terms(gamma, eta, J), t_over_j * J)
     b, r, t = arrays[:, ::stride]
     with np.errstate(all="ignore"):
         values = critical._scan_margins(kind, J, b, r, t)
@@ -559,7 +575,7 @@ def test_array_margins_match_scalar_margins_on_the_fig1_scan(kind, gamma):
     assert ts.size == 101
     for eta in _FIG1_ETAS:
         assert critical._default_t_hi(kind, gamma, eta, 1.0) == ts[0]
-        b, r = critical._field_terms(gamma, eta, 1.0)
+        b, r = field_terms(gamma, eta, 1.0)
         values = critical._scan_margins(kind, 1.0, np.full(ts.size, b), np.full(ts.size, r), ts)
         scalar = [critical._MARGINS[kind](ChainParams(J=1.0, gamma=gamma, eta=eta, T=t)) for t in ts.tolist()]
         assert values.tolist() == scalar, eta

@@ -8,12 +8,12 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from xyswap import qcore
-from xyswap.teleport import fidelity_closed_form
+from xyswap.teleport import evaluate, fidelity_closed_form
 from xyswap.xychain import (
     ChainParams,
     ground_region,
@@ -544,3 +544,46 @@ def test_closed_forms_finite_bounded_and_sign_blind(J, gamma, eta, T):
         _params(J, gamma, -eta, T),
     ):
         assert _closed_form_values(flipped) == values
+
+
+def _signed(magnitudes):
+    return st.builds(lambda sign, x: sign * x, st.sampled_from((1.0, -1.0)), magnitudes)
+
+
+def _decades(lo, hi):
+    return st.floats(lo, hi).map(lambda x: 10.0**x)
+
+
+# the whole parameter domain: |gamma| in {0} U [1e-300, 1], |eta| in
+# {0} U [1e-300, 1e300], both signs of J, gamma and eta
+_J = _signed(_decades(-2.0, 2.0))
+_GAMMA = _signed(st.one_of(st.just(0.0), _decades(-300.0, 0.0), st.floats(0.0, 1.0)))
+_ETA = _signed(st.one_of(st.just(0.0), _decades(-300.0, 300.0)))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(J=_J, gamma=_GAMMA, eta=_ETA, on_boundary=st.booleans(), T=st.one_of(st.just(0.0), _decades(-3.0, 2.0)))
+def test_closed_forms_match_the_oracles_over_the_whole_domain(J, gamma, eta, on_boundary, T):
+    # one closed-form route at every T >= 0, held to the independent oracles
+    # of the Gibbs or ground state.  Wootters' concurrence loses digits on
+    # nearly rank-deficient states (~1e-8 measured at T = 0), the FEF none.
+    if on_boundary:
+        eta = math.copysign(math.sqrt(1.0 - gamma * gamma), eta)
+    p = _params(J, gamma, eta, T)
+    rho = thermal_state(p) if T > 0.0 else ground_state(p)
+    m = pair_metrics(p)
+    assert m.fef == pytest.approx(qcore.bell_fraction(rho), abs=1e-12)
+    assert m.concurrence == pytest.approx(qcore.wootters_concurrence(rho), abs=1e-7)
+    result = evaluate(p)
+    assert result.phi_closed == pytest.approx(result.phi_simulated, abs=1e-9)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(J=_J, gamma=_GAMMA, eta=_ETA, depth=st.floats(40.0, 1e3))
+def test_closed_forms_tend_to_their_zero_temperature_values(J, gamma, eta, depth):
+    # away from the boundary the thermal kernels, once beta |B - |J|| >= 40,
+    # give what their T -> 0 inputs give
+    p = _params(J, gamma, eta, 0.0)
+    assume(abs(ground_region(p)[1] - 1.0) >= 1e-3)
+    warm = _params(J, gamma, eta, abs(p.b_script - abs(J)) / depth)
+    assert_allclose(_closed_form_values(warm), _closed_form_values(p), rtol=0.0, atol=1e-14)
