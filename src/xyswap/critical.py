@@ -9,12 +9,14 @@ root in temperature of a signed margin:
 
 Each margin is positive below its critical temperature and negative above
 it, so a descending scan from a ceiling finds the largest root; that
-bracket is then bisected.  All etas of a sweep are solved on one array
-path of numpy passes of bounded size: each eta's scan is one row of at
-most 102 temperatures from its ceiling, in steps of 0.05 J up to a 5 J
-ceiling and of a hundredth of the ceiling above, the crossing rules run
-along the rows, and the bisection steps all brackets in lockstep.  The
-passes run the numpy kernels of `pair_metrics` and
+bracket is then bisected.  Each margin depends on T / J alone, so the
+solver works in units of J: J only converts an explicit ceiling and the
+temperatures that the warnings print.  All etas of a sweep are solved on
+one array path of numpy passes of bounded size: each eta's scan is one
+row of at most 102 temperatures from its ceiling, in steps of 0.05 up to
+a ceiling of 5 and of a hundredth of the ceiling above, the crossing
+rules run along the rows, and the bisection steps all brackets in
+lockstep.  The passes run the numpy kernels of `pair_metrics` and
 `fidelity_closed_form` on arrays, so every sign is the one those public
 closed forms give.  For gamma > 0 the thresholds grow roughly linearly
 in eta, and the scan ceiling follows the large-eta asymptote so the root
@@ -25,6 +27,7 @@ bounded however large the field or the ceiling.
 import functools
 import logging
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +50,8 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _T_FLOOR_OVER_J = 1e-6
-_SCAN_STEP_OVER_J = 0.05  # the scan step up to a 5 J ceiling
-_SCAN_STEPS = 100  # steps from a ceiling above 5 J down to 0
+_SCAN_STEP_OVER_J = 0.05  # the scan step up to a ceiling of 5
+_SCAN_STEPS = 100  # steps from a ceiling above 5 down to 0
 _BRACKET_WIDTH_OVER_J = 1e-8
 _SCAN_ROWS = 10  # eta scans per scan pass, which bounds the scan's memory
 _BISECT_LANES = 256  # midpoints per bisection pass
@@ -120,21 +123,21 @@ def _margin_phi(params):
 _MARGINS = {1: _margin_concurrence, 2: _margin_fef, 3: _margin_phi}
 
 
-def _default_t_hi(kind, gamma, eta, j):
-    t_hi = 5.0 * j
+def _default_t_hi(kind, gamma, eta):
+    t_hi = 5.0
     if gamma > 0.0 and eta > 2.0:
-        asym = t3_asymptote(gamma, eta, j) if kind == 3 else t2_asymptote(gamma, eta, j)
+        asym = t3_asymptote(gamma, eta) if kind == 3 else t2_asymptote(gamma, eta)
         t_hi = max(t_hi, 2.0 * asym)
     return t_hi
 
 
-def _scan_margins(kind, j, b, r, t):
-    """The kind's margin at temperatures t > 0 for J > 0, with b and r from
+def _scan_margins(kind, b, r, t):
+    """The kind's margin at temperatures t / J > 0, with b and r from
     `field_terms`, arrays of one shape: the closed forms' kernels, so each
-    value is bit for bit that of `_MARGINS`.  Where beta B overflows (at
-    T >= 1e-6 J, hypot(eta, gamma) above ~1.8e302) the kernels give NaN, set
-    to 0, the margin of their T -> 0 input there (`kernel_inputs`)."""
-    e = scaled_exponentials(1.0 / t, b, j)
+    value is bit for bit that of `_MARGINS` at J = 1.  Where b / t overflows
+    (at t >= 1e-6, hypot(eta, gamma) above ~1.8e302) the kernels give NaN,
+    set to 0, the margin of their T -> 0 input there (`kernel_inputs`)."""
+    e = scaled_exponentials(1.0 / t, b, 1.0)
     if kind == 1:
         margin = spin_flip_roots(e, r)[1]
     elif kind == 2:
@@ -150,31 +153,32 @@ class _Sweep:
     """A sweep's per-eta constants, for numpy passes whose lanes are each
     an eta index (`rows`) and a temperature."""
 
-    def __init__(self, kind, gamma, etas, j):
-        self.kind, self.j = kind, j
-        terms = [field_terms(gamma, eta, j) for eta in etas]
+    def __init__(self, kind, gamma, etas):
+        self.kind = kind
+        terms = [field_terms(gamma, eta) for eta in etas]
         self.b, self.r = np.array([b for b, _ in terms]), np.array([r for _, r in terms])
 
     def margins(self, rows, t):
-        return _scan_margins(self.kind, self.j, self.b[rows], self.r[rows], t)
+        return _scan_margins(self.kind, self.b[rows], self.r[rows], t)
 
 
-def _scan(sweep, rows, t_his, floor, f_hi, crossings, first):
-    """Scan the etas `rows` down from their ceilings `t_his`: keep each
-    one's margin at its ceiling in `f_hi`, count its crossings below and
-    keep its first upward bracket (T, previous T) in `first`.  An eta's
-    scan is one row: its ceiling, then T - s, T - 2 s, ... (repeated
-    subtraction), the first point at or below the floor clamped to it and
-    the rest of the row padded with the floor, which adds no crossing.
-    The step s is 0.05 J up to a 5 J ceiling and t_hi / _SCAN_STEPS above
-    it, so a row of _SCAN_STEPS + 2 points always reaches the floor.  A
-    pass takes _SCAN_ROWS whole rows."""
-    for start in range(0, rows.size, _SCAN_ROWS):
-        part, ceilings = rows[start:start + _SCAN_ROWS], t_his[start:start + _SCAN_ROWS]
-        steps = np.where(ceilings > 5.0 * sweep.j, ceilings / _SCAN_STEPS, _SCAN_STEP_OVER_J * sweep.j)
+def _scan(sweep, t_his, f_hi, crossings, first):
+    """Scan every eta down from its ceiling in `t_his`: keep its margin at
+    the ceiling in `f_hi`, count its crossings below and keep its first
+    upward bracket (T, previous T) in `first`.  An eta's scan is one row:
+    its ceiling, then T - s, T - 2 s, ... (repeated subtraction), the first
+    point at or below the floor clamped to it and the rest of the row
+    padded with the floor, which adds no crossing.  The step s is 0.05 up
+    to a ceiling of 5 and t_hi / _SCAN_STEPS above it, so a row of
+    _SCAN_STEPS + 2 points always reaches the floor.  A pass takes
+    _SCAN_ROWS whole rows."""
+    for start in range(0, t_his.size, _SCAN_ROWS):
+        part = np.arange(start, min(start + _SCAN_ROWS, t_his.size))
+        ceilings = t_his[part]
+        steps = np.where(ceilings > 5.0, ceilings / _SCAN_STEPS, _SCAN_STEP_OVER_J)
         acc = np.empty((part.size, _SCAN_STEPS + 2))
         acc[:, 0], acc[:, 1:] = ceilings, steps[:, None]
-        t = np.maximum(np.subtract.accumulate(acc, axis=1), floor)
+        t = np.maximum(np.subtract.accumulate(acc, axis=1), _T_FLOOR_OVER_J)
         values = sweep.margins(part[:, None], t)
         current = np.sign(values[:, 1:])
         # strict sign on the current point, so margins that merely
@@ -213,8 +217,8 @@ def _tree(depth):
 
 def _open(lo, hi, mid, width):
     """Which brackets (lo, hi) with midpoints `mid` are wider than `width`
-    and not yet two neighbouring doubles, which lie over 1e-8 J apart above
-    2**26 J."""
+    and not yet two neighbouring doubles, which lie over 1e-8 apart above
+    2**26."""
     return (hi - lo > width) & (mid != lo) & (mid != hi)
 
 
@@ -255,11 +259,11 @@ def _bisect(sweep, first, width):
     return [None if b is None else bracket for b, bracket in zip(first, brackets)]
 
 
-def _solve(kind, gamma, etas, j, t_his):
-    """Roots of one margin kind at each (eta, scan ceiling) pair, on one
-    array path of numpy passes of bounded size (`_Sweep`), which keeps
-    memory bounded and flat for any ceiling and sweep, and of bounded
-    number for any ceiling.
+def _solve(kind, gamma, etas, t_his, j):
+    """Roots of one margin kind at each (eta, scan ceiling) pair, ceilings
+    and roots in units of J, on one array path of numpy passes of bounded
+    size (`_Sweep`), which keeps memory bounded and flat for any ceiling
+    and sweep, and of bounded number for any ceiling.
 
     First the descending scans, which start at the ceilings: one row of at
     most 102 points per eta, whole rows per pass, with the crossing rules
@@ -271,45 +275,37 @@ def _solve(kind, gamma, etas, j, t_his):
     solver on the same grid gives; only the T = 0 fallback of `_root`
     calls a closed form itself.
     """
-    floor = _T_FLOOR_OVER_J * j
-    sweep = _Sweep(kind, gamma, etas, j)
+    sweep = _Sweep(kind, gamma, etas)
     f_hi, crossings, first = np.empty(len(etas)), np.zeros(len(etas), dtype=np.intp), [None] * len(etas)
-    rows = []
-    for i, eta in enumerate(etas):
-        if sweep.b[i] < math.inf:
-            rows.append(i)
-        else:  # B / T overflows at every T, where the margin is its T = 0 limit
-            f_hi[i] = _MARGINS[kind](ChainParams(J=j, gamma=gamma, eta=eta, T=0.0))
-    rows = np.array(rows, dtype=np.intp)
     with np.errstate(all="ignore"):
-        _scan(sweep, rows, np.array(t_his)[rows], floor, f_hi, crossings, first)
+        _scan(sweep, np.array(t_his), f_hi, crossings, first)
         f_hi = f_hi.tolist()
         # a positive ceiling leaves the eta without a root: no bisection
         first = [None if f > 0.0 else bracket for f, bracket in zip(f_hi, first)]
-        brackets = _bisect(sweep, first, _BRACKET_WIDTH_OVER_J * j)
+        brackets = _bisect(sweep, first, _BRACKET_WIDTH_OVER_J)
     return [
-        _root(kind, gamma, eta, j, t_hi, floor, *state)
+        _root(kind, gamma, eta, t_hi, *state, j)
         for eta, t_hi, state in zip(etas, t_his, zip(f_hi, crossings.tolist(), brackets))
     ]
 
 
-def _root(kind, gamma, eta, j, t_hi, floor, f_hi, crossings, bracket):
-    """The result of one eta's scan and bisected bracket: the T = 0
-    fallback where the scan found no bracket, and the warnings."""
+def _root(kind, gamma, eta, t_hi, f_hi, crossings, bracket, j):
+    """One eta's result from its scan and bisected bracket, with the T = 0
+    fallback and the warnings, which print absolute temperatures (times j)."""
     if f_hi > 0.0:
         logger.warning(
             "kind %d margin still positive at scan ceiling T = %.6g (gamma=%g, eta=%g)",
-            kind, t_hi, gamma, eta,
+            kind, t_hi * j, gamma, eta,
         )
         return CriticalResult(kind, gamma, eta, math.nan, None, False)
 
     if bracket is None:
-        m0 = _MARGINS[kind](ChainParams(J=j, gamma=gamma, eta=eta, T=0.0))
+        m0 = _MARGINS[kind](ChainParams(J=1.0, gamma=gamma, eta=eta, T=0.0))
         if m0 <= 0.0:
             return CriticalResult(kind, gamma, eta, 0.0, (0.0, 0.0), True)
         logger.warning(
             "kind %d margin positive at T = 0 but no crossing found above %.1e (gamma=%g, eta=%g)",
-            kind, floor, gamma, eta,
+            kind, _T_FLOOR_OVER_J * j, gamma, eta,
         )
         return CriticalResult(kind, gamma, eta, math.nan, None, False)
 
@@ -320,22 +316,22 @@ def _root(kind, gamma, eta, j, t_hi, floor, f_hi, crossings, bracket):
         )
 
     lo, hi = bracket
-    root = 0.5 * (lo + hi)
-    return CriticalResult(kind, gamma, eta, root / j, (lo / j, hi / j), True)
+    return CriticalResult(kind, gamma, eta, 0.5 * (lo + hi), (lo, hi), True)
 
 
 def _ceiling(kind, gamma, eta, j, t_hi):
-    """Checked scan ceiling: the given one, or the default for the kind."""
+    """Checked scan ceiling in units of J: the given one over J, kept in
+    [1e-6, the largest double], or the default for the kind."""
     _check_domain(gamma, eta, j)
     if t_hi is None:
-        return _default_t_hi(kind, gamma, eta, j)
+        return _default_t_hi(kind, gamma, eta)
     if not (is_finite(t_hi) and t_hi >= _T_FLOOR_OVER_J * j):
         raise ValueError(f"t_hi must be finite and at least {_T_FLOOR_OVER_J:g} J, got {t_hi!r}")
-    return t_hi
+    return min(max(t_hi / j, _T_FLOOR_OVER_J), sys.float_info.max)
 
 
 def _critical(kind, gamma, eta, j, t_hi):
-    return _solve(kind, gamma, [eta], j, [_ceiling(kind, gamma, eta, j, t_hi)])[0]
+    return _solve(kind, gamma, [eta], [_ceiling(kind, gamma, eta, j, t_hi)], j)[0]
 
 
 def t1_critical(gamma, eta, J=1.0, *, t_hi=None):
@@ -364,4 +360,4 @@ def sweep(kind, gamma, eta_grid, J=1.0):
         if not (is_finite(eta) and eta >= 0.0):
             _check_domain(gamma, eta, J)  # raises the eta's error
     etas = [float(eta) for eta in etas]
-    return _solve(int(kind), gamma, etas, J, [_default_t_hi(kind, gamma, eta, J) for eta in etas])
+    return _solve(int(kind), gamma, etas, [_default_t_hi(kind, gamma, eta) for eta in etas], J)

@@ -124,10 +124,11 @@ def _smaller(x, y):
     return np.minimum(x, y) if isinstance(x, np.ndarray) else min(x, y)
 
 
-def field_terms(gamma, eta, j):
-    """B = hypot(eta, gamma) j and r = gamma j / B (0 where B = 0), for gamma, eta, j >= 0."""
-    b = math.hypot(eta, gamma) * j
-    return b, (gamma * j / b if b > 0.0 else 0.0)
+def field_terms(gamma, eta):
+    """B / |J| = hypot(eta, gamma), finite for every finite eta, and
+    r = gamma / hypot (0 where hypot = 0), for gamma, eta >= 0."""
+    b = math.hypot(eta, gamma)
+    return b, (gamma / b if b > 0.0 else 0.0)
 
 
 def scaled_exponentials(beta, b_script, j_abs):
@@ -193,12 +194,17 @@ def spectrum(params):
     combinations with energies +-J.  The {|00>, |11>} block has energies
     +-B; its eigenvectors are computed with the cancellation-free form of
     B -+ b_field (their product equals (gamma J)^2).  The kets depend only
-    on the ratios of B, b_field and gamma J, so where (gamma J)^2 would
-    underflow the three are first scaled by an exact power of two.
+    on the ratios of B, b_field and gamma J, formed with J's mantissa where
+    B overflows and scaled by an exact power of two where (gamma J)^2 or
+    B + |b_field| would leave the double range.
     """
     big_b = params.b_script
-    bm = params.b_field
-    gj = params.gamma * params.J
+    j = params.J if big_b < math.inf else math.frexp(params.J)[0]
+    field, bm, gj = math.hypot(params.eta, params.gamma) * abs(j), params.eta * j, params.gamma * j
+    if not sys.float_info.min <= gj * gj < math.inf or field + abs(bm) == math.inf:
+        # gamma J scaled near 1, or B up to 2**1021 where B / gamma J is larger
+        shift = min(-math.frexp(gj)[1], 1021 - math.frexp(field)[1])
+        field, bm, gj = (math.ldexp(x, shift) for x in (field, bm, gj))
     if gj == 0.0:
         # product-state block: |00>, |11> with energies +-b_field
         if bm >= 0.0:
@@ -206,11 +212,6 @@ def spectrum(params):
         else:
             k0, k3 = _basis_ket(3), _basis_ket(0)
     else:
-        field = big_b
-        if gj * gj < sys.float_info.min:
-            # gamma J scaled near 1, or B up to 2**1021 where B / gamma J is larger
-            shift = max(0, min(-math.frexp(gj)[1], 1021 - math.frexp(big_b)[1]))
-            field, bm, gj = (math.ldexp(x, shift) for x in (big_b, bm, gj))
         if bm >= 0.0:
             bplus = field + bm
             bminus = gj * gj / bplus
@@ -294,8 +295,8 @@ def ground_state(params):
 
 
 # The kernels take (e, r) as `kernel_inputs` gives them, as floats, or as
-# arrays of `scaled_exponentials` and `field_terms`.  The sum and the
-# difference of an exponential pair are twice a scaled cosh and sinh.
+# arrays of `scaled_exponentials` and `field_terms`, in units of |J|.  The
+# sum and the difference of an exponential pair are twice a scaled cosh and sinh.
 
 
 def bell_overlap(e, r):
@@ -327,19 +328,21 @@ def spin_flip_roots(e, r):
 
 
 def kernel_inputs(params):
-    """The kernels' inputs (e, r) at every T >= 0: `scaled_exponentials`
-    and r from `field_terms`, or where beta * max(B, |J|) overflows their
-    T -> 0 limit per `ground_region`: weight 1 on each block whose ground
-    level wins (both at the boundary) under an infinite shift, and
-    r = |gamma| / sqrt(s), 0 where s overflows or underflows (the exchange
-    region, where r weighs nothing); the free pair is maximally mixed."""
-    g, j = abs(params.gamma), abs(params.J)
-    b, r = field_terms(g, abs(params.eta), j)
-    e = scaled_exponentials(params.beta, b, j)
+    """The kernels' inputs (e, r) at every T >= 0, functions of T / |J|:
+    `scaled_exponentials` of 1 / (T / |J|) on `field_terms`, or where
+    beta * max(B, |J|) overflows their T -> 0 limit per `ground_region`:
+    weight 1 on each block whose ground level wins (both at the boundary)
+    under an infinite shift, and r = |gamma| / sqrt(s), 0 where s
+    overflows or underflows (the exchange region, where r weighs nothing).
+    The free pair (J = 0) is maximally mixed."""
+    if params.J == 0.0:
+        return (1.0, 1.0, 1.0, 1.0, 0.0), 0.0
+    g = abs(params.gamma)
+    b, r = field_terms(g, abs(params.eta))
+    t = params.T / abs(params.J)
+    e = scaled_exponentials(math.inf if t == 0.0 else 1.0 / t, b, 1.0)
     if e is None:
         region, s = ground_region(params)
-        if region == "free":
-            return (1.0, 1.0, 1.0, 1.0, 0.0), 0.0
         e = (float(region != "exchange"), 0.0, float(region != "field"), 0.0, math.inf)
         r = g / math.sqrt(s) if s > 0.0 else 0.0
     return e, r

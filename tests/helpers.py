@@ -3,6 +3,7 @@ three-qubit tangle used to pin swap outputs, and the point-by-point
 critical-temperature solver the array scan is checked against."""
 
 import math
+import sys
 
 import numpy as np
 
@@ -86,30 +87,34 @@ def three_tangle(psi):
 
 def reference_critical(kind, gamma, eta, J=1.0, t_hi=None, step=None):
     """The critical-temperature solver with its descending scan evaluated
-    one scalar closed form per temperature.  The scan steps 0.05 J down
-    from a ceiling of at most 5 J, and a hundredth of the ceiling from a
-    higher one, unless `step` is given.  Returns (result, messages), with
-    the warnings it would log as formatted strings."""
+    one scalar closed form per temperature, in units of J: the margins
+    depend on T / J alone, so they are taken at J = 1.  The scan steps
+    0.05 down from a ceiling of at most 5, and a hundredth of the ceiling
+    from a higher one, unless `step` is given.  Returns (result, messages),
+    with the warnings it would log as formatted strings, their
+    temperatures absolute."""
     critical._check_domain(gamma, eta, J)
     if t_hi is None:
-        t_hi = critical._default_t_hi(kind, gamma, eta, J)
+        t_hi = critical._default_t_hi(kind, gamma, eta)
+    else:
+        t_hi = min(max(t_hi / J, critical._T_FLOOR_OVER_J), sys.float_info.max)
     margin = critical._MARGINS[kind]
     messages = []
 
     def f(t):
-        return margin(ChainParams(J=J, gamma=gamma, eta=eta, T=t))
+        return margin(ChainParams(J=1.0, gamma=gamma, eta=eta, T=t))
 
     def result(t_over_j, bracket, converged):
         return critical.CriticalResult(kind, gamma, eta, t_over_j, bracket, converged), messages
 
-    floor = critical._T_FLOOR_OVER_J * J
+    floor = critical._T_FLOOR_OVER_J
     if step is None:
-        step = critical._SCAN_STEP_OVER_J * J if t_hi <= 5.0 * J else t_hi / 100
+        step = critical._SCAN_STEP_OVER_J if t_hi <= 5.0 else t_hi / 100
     f_hi = f(t_hi)
     if f_hi > 0.0:
         messages.append(
             "kind %d margin still positive at scan ceiling T = %.6g (gamma=%g, eta=%g)"
-            % (kind, t_hi, gamma, eta)
+            % (kind, t_hi * J, gamma, eta)
         )
         return result(math.nan, None, False)
 
@@ -135,7 +140,7 @@ def reference_critical(kind, gamma, eta, J=1.0, t_hi=None, step=None):
             return result(0.0, (0.0, 0.0), True)
         messages.append(
             "kind %d margin positive at T = 0 but no crossing found above %.1e (gamma=%g, eta=%g)"
-            % (kind, floor, gamma, eta)
+            % (kind, floor * J, gamma, eta)
         )
         return result(math.nan, None, False)
 
@@ -146,14 +151,13 @@ def reference_critical(kind, gamma, eta, J=1.0, t_hi=None, step=None):
         )
 
     lo, hi = first
-    width = critical._BRACKET_WIDTH_OVER_J * J
+    width = critical._BRACKET_WIDTH_OVER_J
     while hi - lo > width:
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:  # adjacent doubles, more than `width` apart above 2**26 J
+        if mid == lo or mid == hi:  # adjacent doubles, more than `width` apart above 2**26
             break
         if f(mid) > 0.0:
             lo = mid
         else:
             hi = mid
-    root = 0.5 * (lo + hi)
-    return result(root / J, (lo / J, hi / J), True)
+    return result(0.5 * (lo + hi), (lo, hi), True)

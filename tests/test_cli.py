@@ -2,6 +2,7 @@
 codes and output determinism."""
 
 import json
+import logging
 import math
 import subprocess
 import sys
@@ -176,6 +177,33 @@ def test_critical_command_at_a_huge_field(capsys):
     payload = json.loads(out)
     assert payload["converged"] is True
     assert payload["t_over_j"] == pytest.approx(2.1649552448366e197, rel=1e-9)
+
+
+@pytest.mark.parametrize("command, extreme, unit", [
+    *[(["critical", "--kind", kind, "--gamma", "0.9", "--eta", "0.9"], ["--J", j], ["--J", "1"])
+      for kind in "123" for j in ("4e307", "1e-310")],
+    (["metrics", "--gamma", "0.5", "--eta", "10"], ["--J", "1e308", "--T", "1e308"], ["--J", "1", "--T", "1"]),
+    (["state", "--gamma", "0.5", "--eta", "10"], ["--J", "1e307", "--T", "1e307"], ["--J", "1", "--T", "1"]),
+])
+def test_couplings_at_the_ends_of_the_double_range(capsys, caplog, command, extreme, unit):
+    # every result depends on T / J alone: at the largest and the smallest
+    # couplings each command answers quietly what it answers at J = 1, the
+    # state up to rounding (it is formed in absolute units)
+    payloads = []
+    for flags in (extreme, unit):
+        with caplog.at_level(logging.WARNING):
+            code, out, err = _run(capsys, command + flags)
+        assert (code, err, caplog.records) == (0, "", [])
+        payloads.append(json.loads(out))
+    got, want = payloads
+    if command[0] == "state":
+        entries = [[row[key] for row in rows for key in ("re", "im")] for rows in (got, want)]
+        assert all(math.isfinite(x) for x in entries[0])
+        assert entries[0] == pytest.approx(entries[1], abs=1e-12)
+    else:  # all but the echoed J and T
+        for payload in payloads:
+            payload.pop("J", None), payload.pop("T", None)
+        assert got == want
 
 
 def test_critical_nonconvergence_exit_code(capsys, monkeypatch):

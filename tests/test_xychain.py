@@ -562,15 +562,26 @@ _ETA = _signed(st.one_of(st.just(0.0), _decades(-300.0, 300.0)))
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
-@given(J=_J, gamma=_GAMMA, eta=_ETA, on_boundary=st.booleans(), T=st.one_of(st.just(0.0), _decades(-3.0, 2.0)))
-def test_closed_forms_match_the_oracles_over_the_whole_domain(J, gamma, eta, on_boundary, T):
-    # one closed-form route at every T >= 0, held to the independent oracles
-    # of the Gibbs or ground state.  Wootters' concurrence loses digits on
-    # nearly rank-deficient states (~1e-8 measured at T = 0), the FEF none.
+@given(
+    J=_signed(_decades(-300.0, 300.0)),
+    gamma=_GAMMA,
+    eta=_ETA,
+    on_boundary=st.booleans(),
+    tau=st.one_of(st.just(0.0), _decades(-3.0, 2.0)),
+)
+def test_closed_forms_match_the_oracles_over_the_whole_domain(J, gamma, eta, on_boundary, tau):
+    # one closed-form route at every T = tau |J| >= 0 and every |J| in
+    # [1e-300, 1e300], held to the independent oracles of the Gibbs or
+    # ground state, which work in absolute units.  The closed forms see
+    # T / |J| alone, so they are those at J = +-1 bit for bit.  Wootters'
+    # concurrence loses digits on nearly rank-deficient states (~1e-8
+    # measured at T = 0), the FEF none.
     if on_boundary:
         eta = math.copysign(math.sqrt(1.0 - gamma * gamma), eta)
-    p = _params(J, gamma, eta, T)
-    rho = thermal_state(p) if T > 0.0 else ground_state(p)
+    p = _params(J, gamma, eta, tau * abs(J))
+    unit = _params(math.copysign(1.0, J), gamma, eta, p.T / abs(J))
+    assert _closed_form_values(p) == _closed_form_values(unit)
+    rho = thermal_state(p) if p.T > 0.0 else ground_state(p)
     m = pair_metrics(p)
     assert m.fef == pytest.approx(qcore.bell_fraction(rho), abs=1e-12)
     assert m.concurrence == pytest.approx(qcore.wootters_concurrence(rho), abs=1e-7)
