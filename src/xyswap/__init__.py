@@ -11,7 +11,7 @@ from .critical import (
     t3_asymptote,
     t3_critical,
 )
-from .swapnet import SwapResult, swap_all, swap_once, swap_triple
+from .swapnet import SwapResult, swap_all, swap_triple
 from .teleport import (
     TeleportConfig,
     TeleportResult,
@@ -19,7 +19,6 @@ from .teleport import (
     correction_for,
     evaluate,
     fidelity_closed_form,
-    fidelity_simulated,
     measurement_family,
 )
 from .xychain import (
@@ -48,7 +47,6 @@ __all__ = [
     "correction_for",
     "evaluate",
     "fidelity_closed_form",
-    "fidelity_simulated",
     "ground_state",
     "hamiltonian",
     "measurement_family",
@@ -56,7 +54,6 @@ __all__ = [
     "spectrum",
     "sweep",
     "swap_all",
-    "swap_once",
     "swap_triple",
     "t1_critical",
     "t2_asymptote",

@@ -28,7 +28,7 @@ import functools
 import logging
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,8 +58,7 @@ _BISECT_LANES = 256  # midpoints per bisection pass
 _LANES = np.arange(_BISECT_LANES)
 
 
-@dataclass(frozen=True)
-class CriticalResult:
+class CriticalResult(NamedTuple):
     """Root of one margin kind at fixed (gamma, eta), in units of J."""
 
     kind: int

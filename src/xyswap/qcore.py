@@ -18,7 +18,6 @@ __all__ = [
     "pauli",
     "bell_ket",
     "ghz_ket",
-    "bloch_ket",
     "ket_density",
     "tensor",
     "num_qubits",
@@ -34,7 +33,6 @@ __all__ = [
     "wootters_concurrence",
     "bell_fraction",
     "bloch_grid",
-    "bloch_average",
 ]
 
 # Measurement branches at or below this probability are reported as
@@ -97,24 +95,6 @@ def ghz_ket(i):
     ket[b] = 1.0 / np.sqrt(2.0)
     ket[7 - b] = sign / np.sqrt(2.0)
     return ket
-
-
-def bloch_ket(theta, phi):
-    """Single-qubit ket cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>.
-
-    Angles outside [0, pi] x [0, 2 pi) are folded back onto the sphere
-    (same direction, canonical coordinates).
-    """
-    theta = float(theta) % (2.0 * np.pi)
-    phi = float(phi)
-    if theta > np.pi:
-        theta = 2.0 * np.pi - theta
-        phi += np.pi
-    phi %= 2.0 * np.pi
-    return np.array(
-        [np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)],
-        dtype=complex,
-    )
 
 
 def ket_density(ket):
@@ -319,7 +299,3 @@ def bloch_grid():
     vector, and the weights sum to one."""
     return _BLOCH_KETS.copy(), _BLOCH_WEIGHTS.copy()
 
-
-def bloch_average(f):
-    """Average of f(ket) over the Bloch sphere using the fixed design."""
-    return float(sum(w * f(k) for k, w in zip(_BLOCH_KETS, _BLOCH_WEIGHTS)))

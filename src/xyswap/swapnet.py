@@ -18,7 +18,7 @@ import numpy as np
 from . import qcore
 from .xychain import ground_state, thermal_state
 
-__all__ = ["SwapResult", "swap_once", "swap_triple", "swap_all"]
+__all__ = ["SwapResult", "swap_triple", "swap_all"]
 
 # GHZ bra on (A1, A2, A3), the three pairs as (A_p, B_p, A_p', B_p'), and
 # the GHZ ket on (A1', A2', A3'); the output is (i, B1 B2 B3, B1' B2' B3').
@@ -49,14 +49,6 @@ def _swap(chi1, chi2, chi3):
     kept_states = iter(states)
     post_states = tuple(next(kept_states) if k else None for k in kept)
     return SwapResult(probs, post_states, mixture)
-
-
-def swap_once(chi1, chi2, chi3, i):
-    """Probability and conditional (B1, B2, B3) state for GHZ outcome i."""
-    if i not in range(8):
-        raise ValueError(f"outcome index must be in 0..7, got {i!r}")
-    result = swap_triple(chi1, chi2, chi3)
-    return float(result.probabilities[i]), result.post_states[i]
 
 
 def swap_triple(chi1, chi2, chi3):

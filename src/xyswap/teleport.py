@@ -41,7 +41,6 @@ __all__ = [
     "measurement_family",
     "conditioned_state",
     "correction_for",
-    "fidelity_simulated",
     "fidelity_coefficients",
     "fidelity_closed_form",
     "evaluate",
@@ -191,12 +190,6 @@ def correction_for(i, j, k):
     if k not in (1, 2):
         raise ValueError(f"assisting outcome k must be 1 or 2, got {k!r}")
     return int(_correction_table("B")[i, j, k - 1])
-
-
-def fidelity_simulated(params, cfg=None):
-    """Input-averaged corrected fidelity from the full swap + measurement
-    pipeline at the given chain parameters."""
-    return evaluate(params, cfg).phi_simulated
 
 
 def fidelity_coefficients(e, r):

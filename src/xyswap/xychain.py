@@ -28,10 +28,8 @@ __all__ = [
     "ChainParams",
     "SpectrumXY",
     "PairMetrics",
-    "HyperbolicWeights",
     "field_terms",
     "scaled_exponentials",
-    "scaled_hyperbolics",
     "ground_region",
     "hamiltonian",
     "spectrum",
@@ -95,23 +93,12 @@ class SpectrumXY:
 
     energies: tuple
     kets: tuple
-    partition_z_log: float
 
 
 class PairMetrics(NamedTuple):
     lambdas: tuple
     concurrence: float
     fef: float
-
-
-class HyperbolicWeights(NamedTuple):
-    """cosh/sinh of beta*B and beta*|J|, all scaled by exp(-shift)."""
-
-    ch_b: float
-    ch_j: float
-    sh_b: float
-    sh_j: float
-    shift: float
 
 
 # max and min, elementwise on arrays: a selection rounds nothing, and on
@@ -144,18 +131,6 @@ def scaled_exponentials(beta, b_script, j_abs):
         return None
     minus = -m
     return np.exp(xb - m), np.exp(minus - xb), np.exp(xj - m), np.exp(minus - xj), m
-
-
-def scaled_hyperbolics(beta, b_script, j_abs):
-    """Overflow-safe hyperbolic weights: the plain cosh/sinh times
-    exp(-shift), from `scaled_exponentials`; None in the cold limit."""
-    e = scaled_exponentials(beta, b_script, j_abs)
-    if e is None:
-        return None
-    eb_hi, eb_lo, ej_hi, ej_lo, m = e
-    return HyperbolicWeights(
-        0.5 * (eb_hi + eb_lo), 0.5 * (ej_hi + ej_lo), 0.5 * (eb_hi - eb_lo), 0.5 * (ej_hi - ej_lo), m
-    )
 
 
 def hamiltonian(params):
@@ -194,15 +169,14 @@ def spectrum(params):
     combinations with energies +-J.  The {|00>, |11>} block has energies
     +-B; its eigenvectors are computed with the cancellation-free form of
     B -+ b_field (their product equals (gamma J)^2).  The kets depend only
-    on the ratios of B, b_field and gamma J, formed with J's mantissa where
-    B overflows and scaled by an exact power of two where (gamma J)^2 or
-    B + |b_field| would leave the double range.
+    on B, b_field and gamma J in units of |J|: hypot(eta, gamma),
+    eta sign(J) and gamma sign(J), scaled by an exact power of two where
+    gamma^2 underflows or hypot + |eta| overflows.  The energies are absolute.
     """
-    big_b = params.b_script
-    j = params.J if big_b < math.inf else math.frexp(params.J)[0]
-    field, bm, gj = math.hypot(params.eta, params.gamma) * abs(j), params.eta * j, params.gamma * j
-    if not sys.float_info.min <= gj * gj < math.inf or field + abs(bm) == math.inf:
-        # gamma J scaled near 1, or B up to 2**1021 where B / gamma J is larger
+    sign = math.copysign(1.0, params.J) if params.J else 0.0  # J = 0: product kets
+    field, bm, gj = math.hypot(params.eta, params.gamma), params.eta * sign, params.gamma * sign
+    if gj * gj < sys.float_info.min or field + abs(bm) == math.inf:
+        # gamma scaled near 1, or hypot up to 2**1021 where hypot / gamma is larger
         shift = min(-math.frexp(gj)[1], 1021 - math.frexp(field)[1])
         field, bm, gj = (math.ldexp(x, shift) for x in (field, bm, gj))
     if gj == 0.0:
@@ -222,31 +196,31 @@ def spectrum(params):
         k3 = _field_block_ket(bminus, -gj)
     k1 = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / math.sqrt(2.0)
     k2 = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
-    h = scaled_hyperbolics(params.beta, big_b, abs(params.J))
-    log_z = math.inf if h is None else h.shift + math.log(2.0 * (h.ch_b + h.ch_j))
-    return SpectrumXY(
-        energies=(big_b, params.J, -params.J, -big_b),
-        kets=(k0, k1, k2, k3),
-        partition_z_log=log_z,
-    )
+    big_b = params.b_script
+    return SpectrumXY(energies=(big_b, params.J, -params.J, -big_b), kets=(k0, k1, k2, k3))
 
 
 def thermal_state(params):
-    """Gibbs state of the pair at temperature T > 0.
+    """Gibbs state of the pair at temperature T > 0, in units of |J|.
 
-    Boltzmann weights are formed in the log domain (shifted by the largest
-    exponent).  Where max(B, |J|)/T overflows the T -> 0 limit is returned.
+    The exponents are -(E/|J|)/(T/|J|), with E/|J| = +-hypot(eta, gamma)
+    and +-sign(J), shifted by the largest.  Where T/|J| underflows to 0
+    or max(hypot, 1)/(T/|J|) overflows the T -> 0 limit is returned, and
+    at J = 0 the free pair's I/4.
     """
     if params.T <= 0.0:
         raise ValueError("thermal_state requires T > 0; use ground_state at T = 0")
-    spec = spectrum(params)
-    if max(spec.energies) / params.T == math.inf:
+    b = math.hypot(params.eta, params.gamma)
+    t = params.T / abs(params.J) if params.J else 0.0
+    if t == 0.0 or max(b, 1.0) / t == math.inf:
         return ground_state(params)
-    exponents = -np.array(spec.energies) / params.T
-    # where twice max(B, |J|)/T overflows the smallest weight is exp(-inf) = 0
+    sign = math.copysign(1.0, params.J)
+    exponents = -np.array((b, sign, -sign, -b)) / t
+    # where twice max(hypot, 1)/(T/|J|) overflows the smallest weight is exp(-inf) = 0
     with np.errstate(over="ignore"):
         weights = np.exp(exponents - exponents.max())
     weights /= weights.sum()
+    spec = spectrum(params)
     rho = np.zeros((4, 4), dtype=complex)
     for w, ket in zip(weights, spec.kets):
         rho += w * qcore.ket_density(ket)

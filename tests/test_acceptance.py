@@ -25,8 +25,8 @@ from xyswap.swapnet import swap_triple
 from xyswap.teleport import (
     TeleportConfig,
     conditioned_state,
+    evaluate,
     fidelity_closed_form,
-    fidelity_simulated,
 )
 from xyswap.xychain import ChainParams, pair_metrics, thermal_state
 
@@ -81,7 +81,7 @@ def test_criterion_03_closed_form_matches_pipeline():
                 for mu in (0.0, math.pi / 8.0, math.pi / 4.0):
                     cfg = TeleportConfig(mu=mu)
                     closed = fidelity_closed_form(p, cfg).phi_closed
-                    sim = fidelity_simulated(p, cfg)
+                    sim = evaluate(p, cfg).phi_simulated
                     worst = max(worst, abs(closed - sim))
     elapsed = time.perf_counter() - start
     assert worst <= 1e-9

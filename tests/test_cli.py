@@ -184,11 +184,12 @@ def test_critical_command_at_a_huge_field(capsys):
       for kind in "123" for j in ("4e307", "1e-310")],
     (["metrics", "--gamma", "0.5", "--eta", "10"], ["--J", "1e308", "--T", "1e308"], ["--J", "1", "--T", "1"]),
     (["state", "--gamma", "0.5", "--eta", "10"], ["--J", "1e307", "--T", "1e307"], ["--J", "1", "--T", "1"]),
+    (["state", "--gamma", "0.5", "--eta", "10"], ["--J", "1e308", "--T", "1e308"], ["--J", "1", "--T", "1"]),
 ])
 def test_couplings_at_the_ends_of_the_double_range(capsys, caplog, command, extreme, unit):
     # every result depends on T / J alone: at the largest and the smallest
     # couplings each command answers quietly what it answers at J = 1, the
-    # state up to rounding (it is formed in absolute units)
+    # state included (it is formed in units of |J|)
     payloads = []
     for flags in (extreme, unit):
         with caplog.at_level(logging.WARNING):
@@ -196,14 +197,10 @@ def test_couplings_at_the_ends_of_the_double_range(capsys, caplog, command, extr
         assert (code, err, caplog.records) == (0, "", [])
         payloads.append(json.loads(out))
     got, want = payloads
-    if command[0] == "state":
-        entries = [[row[key] for row in rows for key in ("re", "im")] for rows in (got, want)]
-        assert all(math.isfinite(x) for x in entries[0])
-        assert entries[0] == pytest.approx(entries[1], abs=1e-12)
-    else:  # all but the echoed J and T
+    if command[0] != "state":  # all but the echoed J and T
         for payload in payloads:
             payload.pop("J", None), payload.pop("T", None)
-        assert got == want
+    assert got == want
 
 
 def test_critical_nonconvergence_exit_code(capsys, monkeypatch):

@@ -45,24 +45,19 @@ def test_ghz_kets():
         qcore.ghz_ket(8)
 
 
+def _bloch_ket(theta, phi):
+    return np.array([math.cos(theta / 2.0), np.exp(1j * phi) * math.sin(theta / 2.0)])
+
+
 def test_bloch_ket_poles_and_equator():
-    assert_allclose(qcore.bloch_ket(0.0, 1.7), [1, 0], atol=1e-15)
-    assert_allclose(qcore.bloch_ket(math.pi, 0.0), [0, 1], atol=1e-15)
-    s = 1.0 / math.sqrt(2.0)
-    assert_allclose(qcore.bloch_ket(math.pi / 2, 0.0), [s, s], atol=1e-15)
-
-
-def test_bloch_ket_angle_reduction():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        th, ph = rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)
-        rho_a = qcore.ket_density(qcore.bloch_ket(th, ph))
-        rho_b = qcore.ket_density(qcore.bloch_ket(th + 2 * math.pi, ph))
-        # crossing the pole: (-theta, phi) points along (theta, phi + pi)
-        rho_c = qcore.ket_density(qcore.bloch_ket(-th, ph))
-        rho_d = qcore.ket_density(qcore.bloch_ket(th, ph + math.pi))
-        assert_allclose(rho_b, rho_a, atol=1e-12)
-        assert_allclose(rho_c, rho_d, atol=1e-12)
+    # the design's kets are the poles and four equator points, each in the
+    # canonical form cos(theta/2)|0> + e^{i phi} sin(theta/2)|1> with theta
+    # in [0, pi] and phi in [0, 2 pi)
+    kets, _ = qcore.bloch_grid()
+    angles = [(0.0, 0.0), (math.pi, 0.0)] + [(math.pi / 2, k * math.pi / 2) for k in (0, 2, 1, 3)]
+    assert len(kets) == len(angles)
+    for ket, (theta, phi) in zip(kets, angles):
+        assert_allclose(ket, _bloch_ket(theta, phi), atol=1e-15)
 
 
 def test_tensor():
@@ -236,15 +231,20 @@ def test_bloch_grid_is_a_spherical_3_design():
         assert abs(got - want) < 1e-15, powers
 
 
+def _bloch_average(f):
+    """Average of f(ket) over the Bloch sphere on the design."""
+    return float(sum(w * f(k) for k, w in zip(*qcore.bloch_grid())))
+
+
 def test_bloch_average_normalization_and_symmetry():
-    assert abs(qcore.bloch_average(lambda k: 1.0) - 1.0) < 1e-13
-    assert abs(qcore.bloch_average(lambda k: abs(k[0]) ** 2) - 0.5) < 1e-13
+    assert abs(_bloch_average(lambda k: 1.0) - 1.0) < 1e-13
+    assert abs(_bloch_average(lambda k: abs(k[0]) ** 2) - 0.5) < 1e-13
 
 
 def test_bloch_average_fourth_moment():
     # Haar second moment of the squared overlap in dimension 2 is 1/3
-    phi0 = qcore.bloch_ket(1.1, 2.3)
-    val = qcore.bloch_average(lambda k: abs(np.vdot(phi0, k)) ** 4)
+    phi0 = _bloch_ket(1.1, 2.3)
+    val = _bloch_average(lambda k: abs(np.vdot(phi0, k)) ** 4)
     assert abs(val - 1.0 / 3.0) < 1e-13
 
 
@@ -253,7 +253,7 @@ def test_bloch_average_matches_monte_carlo():
     g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     m = g + g.conj().T
     f = lambda k: float(np.real(np.vdot(k, m @ k)) ** 2)
-    quad = qcore.bloch_average(f)
+    quad = _bloch_average(f)
     n = 1_000_000
     z = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
     z /= np.linalg.norm(z, axis=1, keepdims=True)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers import brute_embed, qubit_swap_matrix, random_density, three_tangle
+from helpers import brute_embed, qubit_swap_matrix, random_density, random_unitary, three_tangle
 from xyswap import qcore
-from xyswap.swapnet import SwapResult, swap_all, swap_once, swap_triple
-from xyswap.xychain import ChainParams
+from xyswap.swapnet import SwapResult, swap_all, swap_triple
+from xyswap.xychain import ChainParams, thermal_state
 
 
 def _purity(rho):
@@ -136,26 +136,25 @@ def test_impossible_branches_report_none():
     assert_allclose(result.post_states[0], np.outer(e000, e000), atol=1e-12)
 
 
-def test_swap_once_agrees_with_full_sweep():
+def test_swap_all_agrees_with_swap_triple():
+    # the model's pair in a random local frame, swapped by either entry point
     rng = np.random.default_rng(79)
-    chis = [random_density(rng, 4) for _ in range(3)]
-    result = swap_triple(*chis)
-    for i in (0, 3, 7):
-        prob, state = swap_once(*chis, i)
-        assert prob == pytest.approx(result.probabilities[i], abs=1e-14)
-        assert_allclose(state, result.post_states[i], atol=1e-14)
+    p = ChainParams(J=1.0, gamma=0.4, eta=0.7, T=0.6)
+    frame = random_unitary(rng, 4)
+    chi = frame @ thermal_state(p) @ frame.conj().T
+    result, want = swap_all(p, frame), swap_triple(chi, chi, chi)
+    assert_allclose(result.probabilities, want.probabilities, atol=1e-14)
+    for state, want_state in zip(result.post_states, want.post_states):
+        assert_allclose(state, want_state, atol=1e-14)
+    assert_allclose(result.mixture, want.mixture, atol=1e-14)
 
 
-def test_swap_once_rejects_bad_inputs():
+def test_swap_triple_rejects_bad_inputs():
     chi = np.eye(4, dtype=complex) / 4.0
-    with pytest.raises(ValueError):
-        swap_once(chi, chi, chi, 8)
-    with pytest.raises(ValueError):
-        swap_once(chi, chi, chi, -1)
-    with pytest.raises(ValueError):
-        swap_once(chi, chi, 2.0 * chi, 0)
-    with pytest.raises(ValueError):
-        swap_once(chi, chi, np.eye(2, dtype=complex) / 2.0, 0)
+    for bad in (2.0 * chi, np.eye(2, dtype=complex) / 2.0):
+        for chis in ((chi, chi, bad), (chi, bad, chi), (bad, chi, chi)):
+            with pytest.raises(ValueError):
+                swap_triple(*chis)
 
 
 def test_swap_all_thermal_pair():

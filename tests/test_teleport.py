@@ -18,10 +18,9 @@ from xyswap.teleport import (
     correction_for,
     evaluate,
     fidelity_closed_form,
-    fidelity_simulated,
     measurement_family,
 )
-from xyswap.xychain import ChainParams, scaled_hyperbolics
+from xyswap.xychain import ChainParams, scaled_exponentials
 
 _E0 = np.array([1.0, 0.0], dtype=complex)
 
@@ -217,7 +216,7 @@ def test_correction_table_is_strict_optimum_for_ideal_channels():
 
 def test_perfect_network_teleports_exactly():
     p = _params(J=1.0, gamma=0.0, eta=0.0, T=0.0)
-    assert fidelity_simulated(p) == pytest.approx(1.0, abs=1e-12)
+    assert evaluate(p).phi_simulated == pytest.approx(1.0, abs=1e-12)
     closed = fidelity_closed_form(p)
     assert closed.c1 == pytest.approx(2.0 / 3.0, abs=1e-15)
     assert closed.c2 == pytest.approx(2.0 / 3.0, abs=1e-15)
@@ -228,7 +227,7 @@ def test_hot_network_is_useless():
     p = _params(J=1.0, gamma=0.7, eta=1.2, T=1e9)
     closed = fidelity_closed_form(p)
     assert closed.phi_closed == pytest.approx(0.5, abs=1e-9)
-    assert fidelity_simulated(p) == pytest.approx(0.5, abs=1e-9)
+    assert evaluate(p).phi_simulated == pytest.approx(0.5, abs=1e-9)
 
 
 def test_simulation_matches_closed_form_on_small_grid():
@@ -239,7 +238,7 @@ def test_simulation_matches_closed_form_on_small_grid():
                 for mu in (0.0, math.pi / 4.0):
                     cfg = TeleportConfig(mu=mu)
                     closed = fidelity_closed_form(p, cfg)
-                    sim = fidelity_simulated(p, cfg)
+                    sim = evaluate(p, cfg).phi_simulated
                     assert sim == pytest.approx(closed.phi_closed, abs=1e-9)
 
 
@@ -249,7 +248,7 @@ def test_measuring_the_other_assistant_is_equivalent():
             p = _params(J=1.0, gamma=gamma, eta=eta, T=T)
             for mu in (0.0, math.pi / 4.0):
                 closed = fidelity_closed_form(p, TeleportConfig(mu=mu))
-                sim_c = fidelity_simulated(p, TeleportConfig(mu=mu, measure_qubit="C"))
+                sim_c = evaluate(p, TeleportConfig(mu=mu, measure_qubit="C")).phi_simulated
                 assert abs(closed.phi_closed - sim_c) <= 1e-9
 
 
@@ -272,7 +271,7 @@ def test_simulation_matches_closed_form_in_every_sign_sector(J, gamma, eta, T, q
 def test_fidelity_increases_with_measurement_angle():
     p = _params(J=1.0, gamma=0.6, eta=0.5, T=0.6)
     values = [
-        fidelity_simulated(p, TeleportConfig(mu=mu))
+        evaluate(p, TeleportConfig(mu=mu)).phi_simulated
         for mu in (0.0, math.pi / 8.0, math.pi / 4.0)
     ]
     assert values[0] <= values[1] + 1e-10
@@ -289,7 +288,7 @@ def test_fidelity_bounds():
             eta=rng.uniform(0, 2),
             T=rng.uniform(0.1, 5.0),
         )
-        phi = fidelity_simulated(p)
+        phi = evaluate(p).phi_simulated
         assert 0.5 - 1e-12 <= phi <= 1.0 + 1e-12
 
 
@@ -335,14 +334,16 @@ def test_advantage_threshold_matches_sign_polynomial():
             eta=rng.uniform(0, 3),
             T=rng.uniform(0.1, 5.0),
         )
-        h = scaled_hyperbolics(p.beta, p.b_script, abs(p.J))
+        eb_hi, eb_lo, ej_hi, ej_lo, _ = scaled_exponentials(p.beta, p.b_script, abs(p.J))
+        ch_b, ch_j = 0.5 * (eb_hi + eb_lo), 0.5 * (ej_hi + ej_lo)
+        sh_b, sh_j = 0.5 * (eb_hi - eb_lo), 0.5 * (ej_hi - ej_lo)
         r = abs(p.gamma) * abs(p.J) / p.b_script if p.b_script > 0 else 0.0
         poly = (
-            h.sh_j**3
-            + r * h.sh_j**2 * h.sh_b
-            + r**2 * h.sh_j * h.sh_b**2
-            + r**3 * h.sh_b**3
-            - 2.0 * h.ch_b * h.ch_j * (h.ch_b + h.ch_j)
+            sh_j**3
+            + r * sh_j**2 * sh_b
+            + r**2 * sh_j * sh_b**2
+            + r**3 * sh_b**3
+            - 2.0 * ch_b * ch_j * (ch_b + ch_j)
         )
         margin = fidelity_closed_form(p).phi_closed - 2.0 / 3.0
         if abs(poly) < 1e-12 or abs(margin) < 1e-12:

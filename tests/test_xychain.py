@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -20,7 +20,7 @@ from xyswap.xychain import (
     ground_state,
     hamiltonian,
     pair_metrics,
-    scaled_hyperbolics,
+    scaled_exponentials,
     spectrum,
     thermal_state,
 )
@@ -165,14 +165,6 @@ def test_field_block_exact_where_anisotropy_squared_underflows(gamma, eta):
     assert abs(qcore.bell_fraction(rho) - m.fef) <= 1e-10
 
 
-def test_partition_log_matches_direct_sum():
-    p = _params(J=1.0, gamma=0.5, eta=0.4, T=0.8)
-    spec = spectrum(p)
-    direct = math.log(sum(math.exp(-e / p.T) for e in spec.energies))
-    assert spec.partition_z_log == pytest.approx(direct, abs=1e-12)
-    assert spectrum(_params(T=0.0)).partition_z_log == math.inf
-
-
 # ---------------------------------------------------------------------------
 # thermal state
 
@@ -224,6 +216,24 @@ def test_thermal_state_silent_where_the_exponent_spread_overflows():
         warnings.simplefilter("error")
         rho = thermal_state(_params(J=1.0, gamma=0.5, eta=0.0, T=1e-308))
     assert_allclose(rho, qcore.ket_density(qcore.bell_ket(2)), atol=1e-15)
+
+
+@pytest.mark.parametrize("J", [0.0, -0.0])
+def test_thermal_state_of_the_free_pair_is_maximally_mixed(J):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rho = thermal_state(_params(J=J, gamma=0.3, eta=0.4, T=0.7))
+    assert np.array_equal(rho, np.eye(4) / 4.0)
+
+
+@pytest.mark.parametrize("J", [2.0, -2.0])
+def test_thermal_state_is_the_ground_state_where_t_over_j_underflows(J):
+    p = _params(J=J, gamma=0.5, eta=0.3, T=5e-324)
+    assert p.T / abs(p.J) == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rho = thermal_state(p)
+    assert np.array_equal(rho, ground_state(p))
 
 
 def test_ground_weight_grows_on_cooling():
@@ -435,27 +445,37 @@ def test_metrics_strong_field_asymptotics():
     assert (m.fef - 0.5) * eta == pytest.approx(gamma / 2.0, rel=1e-2)
 
 
+def _scaled_hyperbolics(beta, b_script, j_abs):
+    """(cosh(xb), cosh(xj), sinh(xb), sinh(xj)) times exp(-shift), and the
+    shift, as halves of sums and differences of `scaled_exponentials`."""
+    e = scaled_exponentials(beta, b_script, j_abs)
+    if e is None:
+        return None
+    eb_hi, eb_lo, ej_hi, ej_lo, m = e
+    return (0.5 * (eb_hi + eb_lo), 0.5 * (ej_hi + ej_lo), 0.5 * (eb_hi - eb_lo), 0.5 * (ej_hi - ej_lo), m)
+
+
 def test_scaled_hyperbolics_extreme_beta():
-    h = scaled_hyperbolics(1e4, 1.3, 1.0)
-    for value in h[:4]:
+    ch_b, ch_j, sh_b, sh_j, shift = _scaled_hyperbolics(1e4, 1.3, 1.0)
+    for value in (ch_b, ch_j, sh_b, sh_j):
         assert math.isfinite(value)
-    assert h.shift == pytest.approx(1.3e4)
-    assert h.ch_b >= h.sh_b >= 0.0
-    assert h.ch_j >= h.sh_j >= 0.0
+    assert shift == pytest.approx(1.3e4)
+    assert ch_b >= sh_b >= 0.0
+    assert ch_j >= sh_j >= 0.0
     # the dominant channel keeps full precision under the shared scaling;
     # the subdominant one underflows to zero gracefully
-    assert h.ch_b == pytest.approx(0.5, abs=1e-12)
-    assert h.sh_b / h.ch_b == pytest.approx(1.0, abs=1e-12)
-    assert h.ch_j == pytest.approx(0.0, abs=1e-300)
+    assert ch_b == pytest.approx(0.5, abs=1e-12)
+    assert sh_b / ch_b == pytest.approx(1.0, abs=1e-12)
+    assert ch_j == pytest.approx(0.0, abs=1e-300)
 
 
 def test_scaled_hyperbolics_moderate_beta():
-    h = scaled_hyperbolics(0.7, 1.1, 0.4)
-    s = math.exp(-h.shift)
-    assert h.ch_b == pytest.approx(math.cosh(0.77) * s, rel=1e-14)
-    assert h.sh_b == pytest.approx(math.sinh(0.77) * s, rel=1e-14)
-    assert h.ch_j == pytest.approx(math.cosh(0.28) * s, rel=1e-14)
-    assert h.sh_j == pytest.approx(math.sinh(0.28) * s, rel=1e-14)
+    ch_b, ch_j, sh_b, sh_j, shift = _scaled_hyperbolics(0.7, 1.1, 0.4)
+    s = math.exp(-shift)
+    assert ch_b == pytest.approx(math.cosh(0.77) * s, rel=1e-14)
+    assert sh_b == pytest.approx(math.sinh(0.77) * s, rel=1e-14)
+    assert ch_j == pytest.approx(math.cosh(0.28) * s, rel=1e-14)
+    assert sh_j == pytest.approx(math.sinh(0.28) * s, rel=1e-14)
 
 
 def test_ground_limits_at_overflowing_fields():
@@ -502,9 +522,8 @@ def _eight_exponential_hyperbolics(beta, b_script, j_abs):
 )
 def test_scaled_hyperbolics_equal_the_eight_exponential_form(J, gamma, eta, T):
     p = _params(J, gamma, eta, T)
-    h = scaled_hyperbolics(p.beta, p.b_script, abs(p.J))
-    expected = _eight_exponential_hyperbolics(p.beta, p.b_script, abs(p.J))
-    assert (h if h is None else tuple(h)) == expected
+    h = _scaled_hyperbolics(p.beta, p.b_script, abs(p.J))
+    assert h == _eight_exponential_hyperbolics(p.beta, p.b_script, abs(p.J))
 
 
 # ---------------------------------------------------------------------------
@@ -561,23 +580,30 @@ _GAMMA = _signed(st.one_of(st.just(0.0), _decades(-300.0, 0.0), st.floats(0.0, 1
 _ETA = _signed(st.one_of(st.just(0.0), _decades(-300.0, 300.0)))
 
 
+# |J| from 1e-300 up to the largest double
+_J_WHOLE = _signed(st.one_of(_decades(-300.0, 308.0), st.floats(1e308, sys.float_info.max)))
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(
-    J=_signed(_decades(-300.0, 300.0)),
+    J=_J_WHOLE,
     gamma=_GAMMA,
     eta=_ETA,
     on_boundary=st.booleans(),
     tau=st.one_of(st.just(0.0), _decades(-3.0, 2.0)),
 )
+@example(J=1e308, gamma=0.5, eta=10.0, on_boundary=False, tau=1.0)
 def test_closed_forms_match_the_oracles_over_the_whole_domain(J, gamma, eta, on_boundary, tau):
     # one closed-form route at every T = tau |J| >= 0 and every |J| in
-    # [1e-300, 1e300], held to the independent oracles of the Gibbs or
-    # ground state, which work in absolute units.  The closed forms see
-    # T / |J| alone, so they are those at J = +-1 bit for bit.  Wootters'
-    # concurrence loses digits on nearly rank-deficient states (~1e-8
-    # measured at T = 0), the FEF none.
+    # [1e-300, the largest double], held to the independent oracles of the
+    # Gibbs or ground state, which also work in units of |J| but share no
+    # code with the closed forms.  The closed forms see T / |J| alone, so
+    # they are those at J = +-1 bit for bit.  Wootters' concurrence loses
+    # digits on nearly rank-deficient states (~1e-8 measured at T = 0), the
+    # FEF none.
     if on_boundary:
         eta = math.copysign(math.sqrt(1.0 - gamma * gamma), eta)
+    assume(math.isfinite(tau * abs(J)))
     p = _params(J, gamma, eta, tau * abs(J))
     unit = _params(math.copysign(1.0, J), gamma, eta, p.T / abs(J))
     assert _closed_form_values(p) == _closed_form_values(unit)
@@ -587,6 +613,30 @@ def test_closed_forms_match_the_oracles_over_the_whole_domain(J, gamma, eta, on_
     assert m.concurrence == pytest.approx(qcore.wootters_concurrence(rho), abs=1e-7)
     result = evaluate(p)
     assert result.phi_closed == pytest.approx(result.phi_simulated, abs=1e-9)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    J=_J_WHOLE,
+    gamma=_GAMMA,
+    eta=_ETA,
+    T=st.one_of(st.just(0.0), st.just(5e-324), _decades(-324.0, 308.0)),
+)
+@example(J=1e308, gamma=0.5, eta=10.0, T=1e308)
+def test_oracles_see_t_over_j_alone(J, gamma, eta, T):
+    # the oracles at (J, T) are those at (sign J, T / |J|) bit for bit, the
+    # absolute energies |J| times the unit ones, also where T / |J|
+    # underflows to 0 (the ground state) or B = hypot(eta, gamma) |J| overflows
+    assume(math.isfinite(T / abs(J)))
+    p = _params(J, gamma, eta, T)
+    unit = _params(math.copysign(1.0, J), gamma, eta, T / abs(J))
+    spec, spec_unit = spectrum(p), spectrum(unit)
+    assert all(np.array_equal(k, k_unit) for k, k_unit in zip(spec.kets, spec_unit.kets))
+    assert spec.energies == tuple(abs(J) * e for e in spec_unit.energies)
+    assert np.array_equal(ground_state(p), ground_state(unit))
+    rho = thermal_state(p) if p.T > 0.0 else ground_state(p)
+    rho_unit = thermal_state(unit) if unit.T > 0.0 else ground_state(unit)
+    assert np.array_equal(rho, rho_unit)
 
 
 @settings(max_examples=400, derandomize=True, deadline=None)
