@@ -60,6 +60,23 @@ def test_bloch_ket_poles_and_equator():
         assert_allclose(ket, _bloch_ket(theta, phi), atol=1e-15)
 
 
+def test_bloch_ket_angle_reduction():
+    # each design ket is stored in canonical coordinates: its first amplitude
+    # is real and non-negative, so the angles read back from it lie in
+    # [0, pi] x [0, 2 pi) and rebuild it exactly; the angles folded by 2 pi,
+    # or across the pole as (-theta, phi + pi), name the same direction
+    kets, _ = qcore.bloch_grid()
+    for ket in kets:
+        assert ket[0].imag == 0.0 and ket[0].real >= 0.0
+        theta = 2.0 * math.atan2(abs(ket[1]), ket[0].real)
+        phi = float(np.angle(ket[1])) % (2.0 * math.pi)
+        assert 0.0 <= theta <= math.pi and 0.0 <= phi < 2.0 * math.pi
+        assert_allclose(ket, _bloch_ket(theta, phi), atol=1e-15)
+        rho = qcore.ket_density(ket)
+        assert_allclose(qcore.ket_density(_bloch_ket(theta + 2.0 * math.pi, phi)), rho, atol=1e-12)
+        assert_allclose(qcore.ket_density(_bloch_ket(-theta, phi + math.pi)), rho, atol=1e-12)
+
+
 def test_tensor():
     zero = np.array([1.0, 0.0], dtype=complex)
     one = np.array([0.0, 1.0], dtype=complex)
