@@ -1,8 +1,8 @@
 """Command-line surface: point evaluations, sweeps, and the two shipped
 artifacts (threshold table, fidelity-threshold curves) as CSV or JSON.
 
-Exit codes: 0 success, 1 usage or domain error, 2 numerical
-non-convergence.  Identical invocations produce byte-identical output.
+Exit codes: 0 success, 1 usage or domain error or an --out path that
+cannot be written, 2 numerical non-convergence.  Identical invocations produce byte-identical output.
 """
 
 import argparse
@@ -276,7 +276,7 @@ def run(argv=None):
         return 1
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # a domain error, or an --out path that cannot be written
         sys.stderr.write(f"xyswap: error: {exc}\n")
         return 1
 

@@ -14,14 +14,17 @@ solver works in units of J: J only converts an explicit ceiling and the
 temperatures that the warnings print.  All etas of a sweep are solved on
 one array path of numpy passes of bounded size: each eta's scan is one
 row of at most 102 temperatures from its ceiling, in steps of 0.05 up to
-a ceiling of 5 and of a hundredth of the ceiling above, the crossing
-rules run along the rows, and the bisection steps all brackets in
-lockstep.  The passes run the numpy kernels of `pair_metrics` and
-`fidelity_closed_form` on arrays, so every sign is the one those public
-closed forms give.  For gamma > 0 the thresholds grow roughly linearly
-in eta, and the scan ceiling follows the large-eta asymptote so the root
-never escapes the scanned window; the bounded row keeps the solve's cost
-bounded however large the field or the ceiling.
+a ceiling of 5 and of a hundredth of the ceiling above; the rows are
+split into the fewest passes of at most 41 whole rows, of sizes within
+one row of each other, and the crossing rules run along the rows; then
+the bisection steps all brackets in lockstep, in passes of 256 lanes
+that keep one lane layout until a bracket closes.  The passes run the
+numpy kernels of `pair_metrics` and `fidelity_closed_form` on arrays, so
+every sign is the one those public closed forms give.  For gamma > 0
+the thresholds grow roughly linearly in eta, and the scan ceiling
+follows the large-eta asymptote so the root never escapes the scanned
+window; the bounded row keeps the solve's cost bounded however large the
+field or the ceiling.
 """
 
 import functools
@@ -53,7 +56,10 @@ _T_FLOOR_OVER_J = 1e-6
 _SCAN_STEP_OVER_J = 0.05  # the scan step up to a ceiling of 5
 _SCAN_STEPS = 100  # steps from a ceiling above 5 down to 0
 _BRACKET_WIDTH_OVER_J = 1e-8
-_SCAN_ROWS = 10  # eta scans per scan pass, which bounds the scan's memory
+# most eta scans per scan pass, ~4.2k lanes: it bounds the scan's memory, and
+# a sweep's rows are split into the fewest passes under it, of sizes that
+# differ by one row at most (the fig1 grid's 81 rows in 2 passes)
+_SCAN_ROWS = 41
 _BISECT_LANES = 256  # midpoints per bisection pass
 _LANES = np.arange(_BISECT_LANES)
 
@@ -136,7 +142,7 @@ def _scan_margins(kind, b, r, t):
     value is bit for bit that of `_MARGINS` at J = 1.  Where b / t overflows
     (at t >= 1e-6, hypot(eta, gamma) above ~1.8e302) the kernels give NaN,
     set to 0, the margin of their T -> 0 input there (`kernel_inputs`)."""
-    e = scaled_exponentials(1.0 / t, b, 1.0)
+    e = scaled_exponentials(1.0 / t, b)
     if kind == 1:
         margin = spin_flip_roots(e, r)[1]
     elif kind == 2:
@@ -156,36 +162,44 @@ class _Sweep:
         self.kind = kind
         terms = [field_terms(gamma, eta) for eta in etas]
         self.b, self.r = np.array([b for b, _ in terms]), np.array([r for _, r in terms])
+        self.rows = None
 
     def margins(self, rows, t):
-        return _scan_margins(self.kind, self.b[rows], self.r[rows], t)
+        if rows is not self.rows:  # a new lane layout: gather its terms once
+            self.rows, self.lane_b, self.lane_r = rows, self.b[rows], self.r[rows]
+        return _scan_margins(self.kind, self.lane_b, self.lane_r, t)
 
 
 def _scan(sweep, t_his, f_hi, crossings, first):
     """Scan every eta down from its ceiling in `t_his`: keep its margin at
-    the ceiling in `f_hi`, count its crossings below and keep its first
-    upward bracket (T, previous T) in `first`.  An eta's scan is one row:
+    the ceiling in `f_hi`, count its crossings below and, unless that
+    margin is positive (no root, no bisection), keep its first upward
+    bracket (T, previous T) in `first`.  An eta's scan is one row:
     its ceiling, then T - s, T - 2 s, ... (repeated subtraction), the first
     point at or below the floor clamped to it and the rest of the row
     padded with the floor, which adds no crossing.  The step s is 0.05 up
     to a ceiling of 5 and t_hi / _SCAN_STEPS above it, so a row of
-    _SCAN_STEPS + 2 points always reaches the floor.  A pass takes
-    _SCAN_ROWS whole rows."""
-    for start in range(0, t_his.size, _SCAN_ROWS):
-        part = np.arange(start, min(start + _SCAN_ROWS, t_his.size))
+    _SCAN_STEPS + 2 points always reaches the floor.  The rows are split
+    into the fewest passes of at most _SCAN_ROWS whole rows, whose sizes
+    differ by one row at most."""
+    n = t_his.size
+    passes = -(-n // _SCAN_ROWS)
+    for k in range(passes):
+        part = np.arange(k * n // passes, (k + 1) * n // passes)
         ceilings = t_his[part]
         steps = np.where(ceilings > 5.0, ceilings / _SCAN_STEPS, _SCAN_STEP_OVER_J)
         acc = np.empty((part.size, _SCAN_STEPS + 2))
         acc[:, 0], acc[:, 1:] = ceilings, steps[:, None]
         t = np.maximum(np.subtract.accumulate(acc, axis=1), _T_FLOOR_OVER_J)
         values = sweep.margins(part[:, None], t)
-        current = np.sign(values[:, 1:])
+        signs = np.sign(values)
+        current = signs[:, 1:]
         # strict sign on the current point, so margins that merely
         # underflow to exact zero near T = 0 do not count as crossings
-        cross = (current != np.sign(values[:, :-1])) & (current != 0.0)
+        cross = (current != signs[:, :-1]) & (current != 0.0)
         upward = cross & (current > 0.0)
         f_hi[part], crossings[part] = values[:, 0], cross.sum(axis=1)
-        found = upward.any(axis=1).nonzero()[0]
+        found = (upward.any(axis=1) & (values[:, 0] <= 0.0)).nonzero()[0]
         col = upward[found].argmax(axis=1)
         for i, lo, hi in zip(part[found].tolist(), t[found, col + 1].tolist(), t[found, col].tolist()):
             first[i] = (lo, hi)
@@ -229,14 +243,31 @@ def _bisect(sweep, first, width):
     next `depth` steps of each, depth as large as the pass allows, each
     formed along its own path with the scalar arithmetic.  Each bracket
     then follows the signs down its tree by indexing only, once, and stays
-    where it is closed, so it reads the midpoints the scalar loop reads."""
+    where it is closed, so it reads the midpoints the scalar loop reads.
+    The open brackets are taken in index order; the others wait."""
     lo_all = np.array([math.nan if b is None else b[0] for b in first])
     hi_all = np.array([math.nan if b is None else b[1] for b in first])
-    while (open_ := _open(lo_all, hi_all, 0.5 * (lo_all + hi_all), width).nonzero()[0][:_BISECT_LANES]).size:
-        count = open_.size
-        size, slot, lower, upper, turns = _tree((_BISECT_LANES // count + 1).bit_length() - 1)
-        rows = open_[np.minimum(slot, count - 1)]  # padding slots repeat the last bracket
-        t_lo, t_hi = lo_all[rows], hi_all[rows]
+    open_ = _open(lo_all, hi_all, 0.5 * (lo_all + hi_all), width).nonzero()[0]
+    while open_.size:
+        held = open_[:_BISECT_LANES]
+        lo, hi, still = _passes(sweep, held, lo_all[held], hi_all[held], width)
+        lo_all[held], hi_all[held] = lo, hi
+        # a closed bracket stays closed, and a waiting one open
+        open_ = np.concatenate((held[still], open_[held.size:]))
+    brackets = zip(lo_all.tolist(), hi_all.tolist())
+    return [None if b is None else bracket for b, bracket in zip(first, brackets)]
+
+
+def _passes(sweep, held, lo, hi, width):
+    """`_bisect`'s passes over the open brackets (lo, hi) of etas `held`,
+    on one tree and one lane layout, until a pass closes one of them: the
+    brackets then and which of them are still open."""
+    count = held.size
+    size, slot, lower, upper, turns = _tree((_BISECT_LANES // count + 1).bit_length() - 1)
+    pick = np.minimum(slot, count - 1)  # padding slots repeat the last bracket
+    rows, roots = held[pick], _LANES[:count * size:size]
+    while True:
+        t_lo, t_hi = lo[pick], hi[pick]
         for to_upper, to_lower in turns:
             mid = 0.5 * (t_lo + t_hi)
             np.copyto(t_lo, mid, where=to_upper)
@@ -249,13 +280,14 @@ def _bisect(sweep, first, width):
         # each lane's next lane: its child by the sign, or itself where the
         # bracket is closed, and the scalar loop stops
         after = np.where(wide, np.where(positive, upper, lower), _LANES)
-        lane = _LANES[:count * size:size]  # the slots' roots
+        lane = roots
         for _ in turns:
             lane = after[lane]
-        lo_all[open_] = np.where(wide & positive, t, t_lo)[lane]
-        hi_all[open_] = np.where(wide & ~positive, t, t_hi)[lane]
-    brackets = zip(lo_all.tolist(), hi_all.tolist())
-    return [None if b is None else bracket for b, bracket in zip(first, brackets)]
+        lo = np.where(wide & positive, t, t_lo)[lane]
+        hi = np.where(wide & ~positive, t, t_hi)[lane]
+        still = _open(lo, hi, 0.5 * (lo + hi), width)
+        if not still.all():
+            return lo, hi, still
 
 
 def _solve(kind, gamma, etas, t_his, j):
@@ -265,7 +297,8 @@ def _solve(kind, gamma, etas, t_his, j):
     and sweep, and of bounded number for any ceiling.
 
     First the descending scans, which start at the ceilings: one row of at
-    most 102 points per eta, whole rows per pass, with the crossing rules
+    most 102 points per eta, in the fewest passes of at most 41 whole rows
+    (~4.2k lanes), balanced to within one row, with the crossing rules
     applied along each row (`_scan`).  Then the bisection of the first
     upward bracket of every eta whose margin is not positive at its
     ceiling, all in lockstep on the array margins (`_bisect`).  The array
@@ -278,13 +311,10 @@ def _solve(kind, gamma, etas, t_his, j):
     f_hi, crossings, first = np.empty(len(etas)), np.zeros(len(etas), dtype=np.intp), [None] * len(etas)
     with np.errstate(all="ignore"):
         _scan(sweep, np.array(t_his), f_hi, crossings, first)
-        f_hi = f_hi.tolist()
-        # a positive ceiling leaves the eta without a root: no bisection
-        first = [None if f > 0.0 else bracket for f, bracket in zip(f_hi, first)]
         brackets = _bisect(sweep, first, _BRACKET_WIDTH_OVER_J)
     return [
-        _root(kind, gamma, eta, t_hi, *state, j)
-        for eta, t_hi, state in zip(etas, t_his, zip(f_hi, crossings.tolist(), brackets))
+        _root(kind, gamma, eta, t_hi, f, n, bracket, j)
+        for eta, t_hi, f, n, bracket in zip(etas, t_his, f_hi.tolist(), crossings.tolist(), brackets)
     ]
 
 
@@ -315,7 +345,7 @@ def _root(kind, gamma, eta, t_hi, f_hi, crossings, bracket, j):
         )
 
     lo, hi = bracket
-    return CriticalResult(kind, gamma, eta, 0.5 * (lo + hi), (lo, hi), True)
+    return CriticalResult(kind, gamma, eta, 0.5 * (lo + hi), bracket, True)
 
 
 def _ceiling(kind, gamma, eta, j, t_hi):

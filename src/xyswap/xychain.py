@@ -82,10 +82,6 @@ class ChainParams:
         """Gap scale sqrt(eta^2 + gamma^2) |J| (nonnegative by convention)."""
         return math.hypot(self.eta, self.gamma) * abs(self.J)
 
-    @property
-    def beta(self):
-        return math.inf if self.T == 0.0 else 1.0 / self.T
-
 
 @dataclass(frozen=True)
 class SpectrumXY:
@@ -118,19 +114,19 @@ def field_terms(gamma, eta):
     return b, (gamma / b if b > 0.0 else 0.0)
 
 
-def scaled_exponentials(beta, b_script, j_abs):
-    """(exp(xb - m), exp(-xb - m), exp(xj - m), exp(-xj - m), m) with
-    xb = beta*b_script, xj = beta*j_abs and the shift m = max(xb, xj), for
-    floats or numpy arrays alike.  Where beta or m overflows (T = 0
-    included) floats give None, where `kernel_inputs` takes the T -> 0
-    limit, and array lanes NaN, which `critical._scan_margins` handles."""
-    xb = beta * b_script
-    xj = beta * j_abs
-    m = _larger(xb, xj)
+def scaled_exponentials(beta, b):
+    """(exp(xb - m), exp(-xb - m), exp(beta - m), exp(-beta - m), m) with
+    xb = beta*b and the shift m = max(xb, beta), in units of |J|: beta is
+    |J| / T and b is B / |J|, floats or numpy arrays alike.  Where beta or
+    m overflows (T = 0 included) floats give None, where `kernel_inputs`
+    takes the T -> 0 limit, and array lanes NaN, which
+    `critical._scan_margins` handles."""
+    xb = beta * b
+    m = _larger(xb, beta)
     if not isinstance(m, np.ndarray) and not m < math.inf:  # beta = inf: inf, or inf * 0 = nan
         return None
     minus = -m
-    return np.exp(xb - m), np.exp(minus - xb), np.exp(xj - m), np.exp(minus - xj), m
+    return np.exp(xb - m), np.exp(minus - xb), np.exp(beta - m), np.exp(minus - beta), m
 
 
 def hamiltonian(params):
@@ -314,7 +310,7 @@ def kernel_inputs(params):
     g = abs(params.gamma)
     b, r = field_terms(g, abs(params.eta))
     t = params.T / abs(params.J)
-    e = scaled_exponentials(math.inf if t == 0.0 else 1.0 / t, b, 1.0)
+    e = scaled_exponentials(math.inf if t == 0.0 else 1.0 / t, b)
     if e is None:
         region, s = ground_region(params)
         e = (float(region != "exchange"), 0.0, float(region != "field"), 0.0, math.inf)

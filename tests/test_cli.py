@@ -310,6 +310,19 @@ def test_out_file_uses_lf(tmp_path, capsys):
     assert b"\r" not in raw
 
 
+@pytest.mark.parametrize("argv, target", [
+    (["table1"], "missing/x.csv"),  # FileNotFoundError
+    (["metrics", "--T", "1"], "."),  # IsADirectoryError
+])
+def test_unwritable_out_path_exits_one_with_an_error_line(tmp_path, capsys, argv, target):
+    path = str(tmp_path / target)
+    code, out, err = _run(capsys, argv + ["--out", path])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("xyswap: error: ") and err.count("\n") == 1
+    assert path in err
+
+
 def test_usage_errors_exit_one(capsys):
     for argv in (
         ["metrics"],                      # missing required --T

@@ -374,19 +374,26 @@ def _margin_passes(monkeypatch):
     return passes
 
 
-@pytest.mark.parametrize("kind, fig1_passes, tail_passes", [(1, 21, 7), (2, 21, 7), (3, 21, 6)])
+@pytest.mark.parametrize("kind, fig1_passes, tail_passes", [(1, 14, 7), (2, 14, 7), (3, 14, 6)])
 def test_margin_pass_budget(monkeypatch, kind, fig1_passes, tail_passes):
-    # numpy margin passes per sweep: the scan rows of 102 points, up to 10
-    # rows a pass, then the lockstep bisection in passes of 256 lanes; the
-    # fixed cost of a pass sets a root's cost.  The few pass lengths keep
-    # numpy's cache of freed buffers under 1 KB small
+    # numpy margin passes per sweep: the scan rows of 102 points, split into
+    # the fewest passes of at most 41 rows (2 for the fig1 grid's 81), then
+    # the lockstep bisection in passes of 256 lanes; the fixed cost of a
+    # pass sets a root's cost.  The few pass lengths keep numpy's cache of
+    # freed buffers under 1 KB small
     passes = _margin_passes(monkeypatch)
     for etas, budget in ((_FIG1_ETAS, fig1_passes), (_TAIL_ETAS, tail_passes)):
         passes.clear()
         sweep(kind, 0.5, etas)
         lengths = [args[-1].size for args in passes]
         assert len(lengths) == budget
-        assert all(length == 256 or (length % 102 == 0 and length <= 1020) for length in lengths)
+        assert all(length == 256 or (length % 102 == 0 and length <= 41 * 102) for length in lengths)
+    # more rows than one pass holds: 300 rows in 8 passes of 37 or 38 rows
+    passes.clear()
+    sweep(kind, 0.5, list(np.linspace(0.0, 2.0, 300)))
+    rows = [args[-1].size // 102 for args in passes if args[-1].size % 102 == 0]
+    assert len(rows) == 8 and sum(rows) == 300
+    assert max(rows) - min(rows) <= 1
 
 
 def _counted_closed_forms(monkeypatch):

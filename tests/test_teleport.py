@@ -334,10 +334,12 @@ def test_advantage_threshold_matches_sign_polynomial():
             eta=rng.uniform(0, 3),
             T=rng.uniform(0.1, 5.0),
         )
-        eb_hi, eb_lo, ej_hi, ej_lo, _ = scaled_exponentials(p.beta, p.b_script, abs(p.J))
+        # the unit form: beta = |J| / T on b = hypot(eta, gamma)
+        b = math.hypot(p.eta, p.gamma)
+        eb_hi, eb_lo, ej_hi, ej_lo, _ = scaled_exponentials(abs(p.J) / p.T, b)
         ch_b, ch_j = 0.5 * (eb_hi + eb_lo), 0.5 * (ej_hi + ej_lo)
         sh_b, sh_j = 0.5 * (eb_hi - eb_lo), 0.5 * (ej_hi - ej_lo)
-        r = abs(p.gamma) * abs(p.J) / p.b_script if p.b_script > 0 else 0.0
+        r = abs(p.gamma) / b if b > 0 else 0.0
         poly = (
             sh_j**3
             + r * sh_j**2 * sh_b

@@ -38,8 +38,8 @@ def test_params_accessors():
     p = _params(J=2.0, gamma=0.5, eta=0.4, T=0.8)
     assert p.b_field == pytest.approx(0.8)
     assert p.b_script == pytest.approx(math.hypot(0.4, 0.5) * 2.0)
-    assert p.beta == pytest.approx(1.25)
-    assert _params(T=0.0).beta == math.inf
+    # the kernels' unit form: beta = |J| / T on hypot(eta, gamma) is B / T
+    assert (abs(p.J) / p.T) * math.hypot(p.eta, p.gamma) == pytest.approx(p.b_script / p.T)
     # b_script is nonnegative even for J < 0
     assert _params(J=-2.0, gamma=0.5, eta=0.4).b_script > 0.0
 
@@ -445,10 +445,11 @@ def test_metrics_strong_field_asymptotics():
     assert (m.fef - 0.5) * eta == pytest.approx(gamma / 2.0, rel=1e-2)
 
 
-def _scaled_hyperbolics(beta, b_script, j_abs):
-    """(cosh(xb), cosh(xj), sinh(xb), sinh(xj)) times exp(-shift), and the
-    shift, as halves of sums and differences of `scaled_exponentials`."""
-    e = scaled_exponentials(beta, b_script, j_abs)
+def _scaled_hyperbolics(beta, b):
+    """(cosh(xb), cosh(beta), sinh(xb), sinh(beta)) times exp(-shift), and
+    the shift, with xb = beta * b, as halves of sums and differences of
+    `scaled_exponentials`."""
+    e = scaled_exponentials(beta, b)
     if e is None:
         return None
     eb_hi, eb_lo, ej_hi, ej_lo, m = e
@@ -456,7 +457,7 @@ def _scaled_hyperbolics(beta, b_script, j_abs):
 
 
 def test_scaled_hyperbolics_extreme_beta():
-    ch_b, ch_j, sh_b, sh_j, shift = _scaled_hyperbolics(1e4, 1.3, 1.0)
+    ch_b, ch_j, sh_b, sh_j, shift = _scaled_hyperbolics(1e4, 1.3)
     for value in (ch_b, ch_j, sh_b, sh_j):
         assert math.isfinite(value)
     assert shift == pytest.approx(1.3e4)
@@ -470,7 +471,8 @@ def test_scaled_hyperbolics_extreme_beta():
 
 
 def test_scaled_hyperbolics_moderate_beta():
-    ch_b, ch_j, sh_b, sh_j, shift = _scaled_hyperbolics(0.7, 1.1, 0.4)
+    # beta = |J| / T = 0.28 and b = hypot(eta, gamma) = 2.75: xb = 0.77
+    ch_b, ch_j, sh_b, sh_j, shift = _scaled_hyperbolics(0.28, 2.75)
     s = math.exp(-shift)
     assert ch_b == pytest.approx(math.cosh(0.77) * s, rel=1e-14)
     assert sh_b == pytest.approx(math.sinh(0.77) * s, rel=1e-14)
@@ -499,12 +501,12 @@ def test_ground_limits_at_overflowing_fields():
     assert ground_region(_params(1.0, 0.5, eta, 0.0)) == ("field", eta**2 + 0.25)
 
 
-def _eight_exponential_hyperbolics(beta, b_script, j_abs):
+def _eight_exponential_hyperbolics(beta, b):
     """The scaled hyperbolics with two exponentials per member."""
     if beta == math.inf:
         return None
-    xb = beta * b_script
-    xj = beta * j_abs
+    xb = beta * b
+    xj = beta
     m = max(xb, xj)
     if m == math.inf:
         return None
@@ -521,9 +523,9 @@ def _eight_exponential_hyperbolics(beta, b_script, j_abs):
     T=st.floats(5e-324, 1e6),
 )
 def test_scaled_hyperbolics_equal_the_eight_exponential_form(J, gamma, eta, T):
-    p = _params(J, gamma, eta, T)
-    h = _scaled_hyperbolics(p.beta, p.b_script, abs(p.J))
-    assert h == _eight_exponential_hyperbolics(p.beta, p.b_script, abs(p.J))
+    # the unit form: beta = |J| / T (inf where it overflows) on hypot(eta, gamma)
+    beta, b = abs(J) / T, math.hypot(eta, gamma)
+    assert _scaled_hyperbolics(beta, b) == _eight_exponential_hyperbolics(beta, b)
 
 
 # ---------------------------------------------------------------------------
