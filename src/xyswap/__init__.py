@@ -16,7 +16,6 @@ from .teleport import (
     TeleportConfig,
     TeleportResult,
     conditioned_state,
-    correction_for,
     evaluate,
     fidelity_closed_form,
     measurement_family,
@@ -44,7 +43,6 @@ __all__ = [
     "TeleportResult",
     "__version__",
     "conditioned_state",
-    "correction_for",
     "evaluate",
     "fidelity_closed_form",
     "ground_state",

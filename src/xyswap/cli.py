@@ -1,6 +1,14 @@
 """Command-line surface: point evaluations, sweeps, and the two shipped
 artifacts (threshold table, fidelity-threshold curves) as CSV or JSON.
 
+Each command only computes: its handler returns `(rows, schema,
+converged)`, rows and a schema as `emit_csv` and `emit_json` take them and
+whether every root converged.  `run` alone does the rest: it renders the
+rows in `--format` (the command's default when not given; in JSON a
+single row prints as one object), writes the text to stdout or `--out`,
+and picks the exit code.  Only `table1` reads the format, since its CSV
+layout is wide and its JSON layout long.
+
 Exit codes: 0 success, 1 usage or domain error or an --out path that
 cannot be written, 2 numerical non-convergence.  Identical invocations produce byte-identical output.
 """
@@ -84,23 +92,6 @@ def emit_json(rows, schema, single=False):
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _write(text, path):
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-
-
-def _emit(args, rows, schema, default_format, single=False):
-    fmt = args.format or default_format
-    if fmt == "csv":
-        text = emit_csv(rows, schema, args.precision)
-    else:
-        text = emit_json(rows, schema, single)
-    _write(text, args.out)
-
-
 def _params_from(args):
     return ChainParams(J=args.J, gamma=args.gamma, eta=args.eta, T=args.T)
 
@@ -110,8 +101,7 @@ def _cmd_state(args):
     rho = thermal_state(p) if p.T > 0.0 else ground_state(p)
     schema = [("row", "int"), ("col", "int"), ("re", "value"), ("im", "value")]
     rows = [(r, c, rho[r, c].real, rho[r, c].imag) for r in range(4) for c in range(4)]
-    _emit(args, rows, schema, "json")
-    return 0
+    return rows, schema, True
 
 
 def _cmd_metrics(args):
@@ -123,8 +113,7 @@ def _cmd_metrics(args):
         ("lambda1", "value"), ("lambda2", "value"), ("lambda3", "value"), ("lambda4", "value"),
     ]
     rows = [(p.J, p.gamma, p.eta, p.T, m.concurrence, m.fef, *m.lambdas)]
-    _emit(args, rows, schema, "json", single=True)
-    return 0
+    return rows, schema, True
 
 
 def _cmd_swap(args):
@@ -132,8 +121,7 @@ def _cmd_swap(args):
     result = swap_all(p)
     schema = [("outcome", "int"), ("probability", "value")]
     rows = [(i, result.probabilities[i]) for i in range(8)]
-    _emit(args, rows, schema, "json")
-    return 0
+    return rows, schema, True
 
 
 def _cmd_fidelity(args):
@@ -147,8 +135,7 @@ def _cmd_fidelity(args):
     ]
     rows = [(p.J, p.gamma, p.eta, p.T, args.mu, r.c1, r.c2,
              r.phi_closed, r.phi_simulated, r.phi_closed - r.phi_simulated)]
-    _emit(args, rows, schema, "json", single=True)
-    return 0
+    return rows, schema, True
 
 
 def _cmd_critical(args):
@@ -159,27 +146,20 @@ def _cmd_critical(args):
         ("t_over_j", "value"), ("converged", "flag"),
     ]
     rows = [(r.kind, r.gamma, r.eta, r.t_over_j, r.converged)]
-    _emit(args, rows, schema, "json", single=True)
-    return 0 if r.converged else 2
+    return rows, schema, r.converged
 
 
 def _cmd_table1(args):
     rows2 = sweep(2, 0.0, _TABLE_ETAS)
     rows3 = sweep(3, 0.0, _TABLE_ETAS)
-    ok = all(r.converged for r in rows2 + rows3)
-    fmt = args.format or "csv"
-    if fmt == "csv":
+    converged = all(r.converged for r in rows2 + rows3)
+    if args.format == "csv":  # wide: a row per kind, a column per eta
         schema = [(repr(e), "value") for e in _TABLE_ETAS]
-        data = [
-            tuple(r.t_over_j for r in rows2),
-            tuple(r.t_over_j for r in rows3),
-        ]
-        _write(emit_csv(data, schema, args.precision), args.out)
-    else:
+        rows = [tuple(r.t_over_j for r in rows2), tuple(r.t_over_j for r in rows3)]
+    else:  # long: a row per eta
         schema = [("eta", "param"), ("t2_over_j", "value"), ("t3_over_j", "value")]
-        data = [(e, r2.t_over_j, r3.t_over_j) for e, r2, r3 in zip(_TABLE_ETAS, rows2, rows3)]
-        _write(emit_json(data, schema), args.out)
-    return 0 if ok else 2
+        rows = [(e, r2.t_over_j, r3.t_over_j) for e, r2, r3 in zip(_TABLE_ETAS, rows2, rows3)]
+    return rows, schema, converged
 
 
 def _cmd_fig1(args):
@@ -195,23 +175,12 @@ def _cmd_fig1(args):
         raise ValueError(f"--steps must be >= 1, got {args.steps!r}")
     grid = np.linspace(0.0, args.eta_max, args.steps + 1)
     schema = [("gamma", "param"), ("eta", "param"), ("t3_over_j", "value")]
-    rows = []
-    ok = True
-    for g in gammas:
-        for r in sweep(3, g, grid):
-            ok = ok and r.converged
-            rows.append((r.gamma, r.eta, r.t_over_j))
-    _emit(args, rows, schema, "csv")
-    return 0 if ok else 2
+    roots = [r for g in gammas for r in sweep(3, g, grid)]
+    rows = [(r.gamma, r.eta, r.t_over_j) for r in roots]
+    return rows, schema, all(r.converged for r in roots)
 
 
-def _add_output_flags(sub):
-    sub.add_argument("--format", choices=("csv", "json"), default=None)
-    sub.add_argument("--out", default=None, metavar="PATH")
-    sub.add_argument("--precision", type=int, default=6)
-
-
-def _add_chain_flags(sub, with_t=True):
+def _chain_flags(sub, with_t=True):
     sub.add_argument("--J", type=float, default=1.0)
     sub.add_argument("--gamma", type=float, default=0.0)
     sub.add_argument("--eta", type=float, default=0.0)
@@ -219,53 +188,61 @@ def _add_chain_flags(sub, with_t=True):
         sub.add_argument("--T", type=float, required=True)
 
 
+def _fidelity_flags(sub):
+    _chain_flags(sub)
+    sub.add_argument("--mu", type=float, default=math.pi / 4.0)
+
+
+def _critical_flags(sub):
+    sub.add_argument("--kind", type=int, choices=(1, 2, 3), required=True)
+    _chain_flags(sub, with_t=False)
+
+
+def _fig1_flags(sub):
+    sub.add_argument("--gammas", default="0,0.3,0.6,1")
+    sub.add_argument("--eta-max", type=float, default=2.0, dest="eta_max")
+    sub.add_argument("--steps", type=int, default=80)
+
+
+# name, help, default --format, handler, the command's own flags.  The
+# handlers look the library functions up as module attributes when they
+# run, so a replaced attribute (a tracer's wrapper, a test's fake) is the
+# one called.
+_COMMANDS = (
+    ("state", "thermal (or T=0 ground) pair state, long-format entries",
+     "json", _cmd_state, _chain_flags),
+    ("metrics", "pair concurrence, FEF and spin-flip spectrum",
+     "json", _cmd_metrics, _chain_flags),
+    ("swap", "GHZ-outcome probabilities of the triple swap",
+     "json", _cmd_swap, _chain_flags),
+    ("fidelity", "closed-form vs simulated average fidelity",
+     "json", _cmd_fidelity, _fidelity_flags),
+    ("critical", "critical temperature of one threshold kind",
+     "json", _cmd_critical, _critical_flags),
+    ("table1", "gamma=0 threshold table, eta = 0 .. 0.9",
+     "csv", _cmd_table1, None),
+    ("fig1", "fidelity-threshold curves t3(eta) per gamma",
+     "csv", _cmd_fig1, _fig1_flags),
+)
+
+
 def _build_parser():
     parser = _Parser(prog="xyswap", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sp = subs.add_parser("state", help="thermal (or T=0 ground) pair state, long-format entries")
-    _add_chain_flags(sp)
-    _add_output_flags(sp)
-    sp.set_defaults(func=_cmd_state)
-
-    sp = subs.add_parser("metrics", help="pair concurrence, FEF and spin-flip spectrum")
-    _add_chain_flags(sp)
-    _add_output_flags(sp)
-    sp.set_defaults(func=_cmd_metrics)
-
-    sp = subs.add_parser("swap", help="GHZ-outcome probabilities of the triple swap")
-    _add_chain_flags(sp)
-    _add_output_flags(sp)
-    sp.set_defaults(func=_cmd_swap)
-
-    sp = subs.add_parser("fidelity", help="closed-form vs simulated average fidelity")
-    _add_chain_flags(sp)
-    sp.add_argument("--mu", type=float, default=math.pi / 4.0)
-    _add_output_flags(sp)
-    sp.set_defaults(func=_cmd_fidelity)
-
-    sp = subs.add_parser("critical", help="critical temperature of one threshold kind")
-    sp.add_argument("--kind", type=int, choices=(1, 2, 3), required=True)
-    _add_chain_flags(sp, with_t=False)
-    _add_output_flags(sp)
-    sp.set_defaults(func=_cmd_critical)
-
-    sp = subs.add_parser("table1", help="gamma=0 threshold table, eta = 0 .. 0.9")
-    _add_output_flags(sp)
-    sp.set_defaults(func=_cmd_table1)
-
-    sp = subs.add_parser("fig1", help="fidelity-threshold curves t3(eta) per gamma")
-    sp.add_argument("--gammas", default="0,0.3,0.6,1")
-    sp.add_argument("--eta-max", type=float, default=2.0, dest="eta_max")
-    sp.add_argument("--steps", type=int, default=80)
-    _add_output_flags(sp)
-    sp.set_defaults(func=_cmd_fig1)
-
+    for name, help_text, default_format, handler, add_flags in _COMMANDS:
+        sub = subs.add_parser(name, help=help_text)
+        if add_flags is not None:
+            add_flags(sub)
+        sub.add_argument("--format", choices=("csv", "json"), default=default_format)
+        sub.add_argument("--out", default=None, metavar="PATH")
+        sub.add_argument("--precision", type=int, default=6)
+        sub.set_defaults(func=handler)
     return parser
 
 
 def run(argv=None):
-    """Parse argv, dispatch, return the exit code."""
+    """Parse argv, run the command, render and write its rows, and return
+    the exit code."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -275,10 +252,20 @@ def run(argv=None):
         sys.stderr.write("xyswap: error: --precision must lie in 0..17\n")
         return 1
     try:
-        return args.func(args)
+        rows, schema, converged = args.func(args)
+        if args.format == "csv":
+            text = emit_csv(rows, schema, args.precision)
+        else:
+            text = emit_json(rows, schema, single=True)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
     except (ValueError, OSError) as exc:  # a domain error, or an --out path that cannot be written
         sys.stderr.write(f"xyswap: error: {exc}\n")
         return 1
+    return 0 if converged else 2
 
 
 def main():

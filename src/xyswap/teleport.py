@@ -26,6 +26,7 @@ values must agree to near machine precision, which is the package's
 second correctness gate.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -40,7 +41,6 @@ __all__ = [
     "TeleportResult",
     "measurement_family",
     "conditioned_state",
-    "correction_for",
     "fidelity_coefficients",
     "fidelity_closed_form",
     "evaluate",
@@ -167,29 +167,15 @@ def _positive_frame(params):
     return frame
 
 
-_TABLE_CACHE = {}
-
-
-def _correction_table(measure_qubit="B"):
-    if measure_qubit not in _TABLE_CACHE:
-        ideal = np.stack([qcore.ket_density(qcore.ghz_ket(7 - i)) for i in range(8)])
-        _, vals, wts = _branch_data(ideal, math.pi / 4.0, measure_qubit)
-        scores = np.einsum("cnmjk,n->cmjk", vals, wts)
-        table = np.argmax(scores, axis=0)
-        table.setflags(write=False)
-        _TABLE_CACHE[measure_qubit] = table
-    return _TABLE_CACHE[measure_qubit]
-
-
-def correction_for(i, j, k):
-    """Static Pauli index applied on branch (i, j, k)."""
-    if i not in range(8):
-        raise ValueError(f"outcome index i must be in 0..7, got {i!r}")
-    if j not in range(4):
-        raise ValueError(f"bell outcome j must be in 0..3, got {j!r}")
-    if k not in (1, 2):
-        raise ValueError(f"assisting outcome k must be 1 or 2, got {k!r}")
-    return int(_correction_table("B")[i, j, k - 1])
+@functools.cache
+def _correction_table(measure_qubit):
+    """Static Pauli index for branch (i, j, k) at entry [i, j, k - 1]."""
+    ideal = np.stack([qcore.ket_density(qcore.ghz_ket(7 - i)) for i in range(8)])
+    _, vals, wts = _branch_data(ideal, math.pi / 4.0, measure_qubit)
+    scores = np.einsum("cnmjk,n->cmjk", vals, wts)
+    table = np.argmax(scores, axis=0)
+    table.setflags(write=False)
+    return table
 
 
 def fidelity_coefficients(e, r):

@@ -77,15 +77,10 @@ class ChainParams:
         """Transverse field eta * J."""
         return self.eta * self.J
 
-    @property
-    def b_script(self):
-        """Gap scale sqrt(eta^2 + gamma^2) |J| (nonnegative by convention)."""
-        return math.hypot(self.eta, self.gamma) * abs(self.J)
-
 
 @dataclass(frozen=True)
 class SpectrumXY:
-    """Eigenpairs ordered (B, J, -J, -B) with B = b_script."""
+    """Eigenpairs ordered (B, J, -J, -B) with B = hypot(eta, gamma) |J|."""
 
     energies: tuple
     kets: tuple
@@ -171,6 +166,7 @@ def spectrum(params):
     """
     sign = math.copysign(1.0, params.J) if params.J else 0.0  # J = 0: product kets
     field, bm, gj = math.hypot(params.eta, params.gamma), params.eta * sign, params.gamma * sign
+    big_b = field * abs(params.J)
     if gj * gj < sys.float_info.min or field + abs(bm) == math.inf:
         # gamma scaled near 1, or hypot up to 2**1021 where hypot / gamma is larger
         shift = min(-math.frexp(gj)[1], 1021 - math.frexp(field)[1])
@@ -192,7 +188,6 @@ def spectrum(params):
         k3 = _field_block_ket(bminus, -gj)
     k1 = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / math.sqrt(2.0)
     k2 = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
-    big_b = params.b_script
     return SpectrumXY(energies=(big_b, params.J, -params.J, -big_b), kets=(k0, k1, k2, k3))
 
 

@@ -249,6 +249,25 @@ def test_default_artifacts_match_stored_bytes(capsys, command):
     assert out.encode() == (DATA / f"{command}_default.csv").read_bytes()
 
 
+@pytest.mark.parametrize("argv, stored", [
+    (["metrics", "--J", "1", "--gamma", "0.5", "--eta", "0.4", "--T", "0.8"], "readme_metrics.csv"),
+    (["state", "--T", "0.7", "--gamma", "0.3"], "readme_state.csv"),
+    (["swap", "--T", "0.5", "--gamma", "0.7"], "readme_swap.csv"),
+    (["fidelity", "--T", "0.5", "--gamma", "1", "--eta", "0.8", "--mu", "0.7853981633974483"],
+     "readme_fidelity.csv"),
+    (["critical", "--kind", "3", "--gamma", "0", "--eta", "0.5"], "readme_critical.csv"),
+    (["table1", "--precision", "5"], "readme_table1.csv"),
+    (["fig1", "--gammas", "0,0.3,0.6,1", "--eta-max", "2", "--steps", "80"], "fig1_default.csv"),
+])
+def test_readme_examples_match_stored_bytes(capsys, argv, stored):
+    # the README's command-line examples in CSV, stored once from a known-good
+    # run; JSON prints full doubles, whose last bits may differ on another
+    # numpy or BLAS, so it is checked by parsed values above
+    code, out, _ = _run(capsys, argv + ["--format", "csv"])
+    assert code == 0
+    assert out.encode() == (DATA / stored).read_bytes()
+
+
 def test_table_json_long_format(capsys):
     code, out, _ = _run(capsys, ["table1", "--format", "json"])
     assert code == 0

@@ -15,7 +15,6 @@ from xyswap.teleport import (
     _branch_data,
     _correction_table,
     conditioned_state,
-    correction_for,
     evaluate,
     fidelity_closed_form,
     measurement_family,
@@ -136,10 +135,11 @@ def test_conditioned_state_validation():
 
 
 def test_correction_table_is_total():
+    table = _correction_table("B")
     for i in range(8):
         for j in range(4):
             for k in (1, 2):
-                assert correction_for(i, j, k) in (0, 1, 2, 3)
+                assert table[i, j, k - 1] in (0, 1, 2, 3)
 
 
 def test_correction_table_identity_branches():
@@ -149,7 +149,7 @@ def test_correction_table_identity_branches():
         for i in range(8)
         for j in range(4)
         for k in (1, 2)
-        if correction_for(i, j, k) == 0
+        if _correction_table("B")[i, j, k - 1] == 0
     }
     assert found == {
         (0, 0, 2), (0, 3, 1),
@@ -164,16 +164,7 @@ def test_correction_table_identity_branches():
 
 
 def test_correction_table_first_branch():
-    assert correction_for(0, 0, 1) == 3
-
-
-def test_correction_for_validation():
-    with pytest.raises(ValueError):
-        correction_for(8, 0, 1)
-    with pytest.raises(ValueError):
-        correction_for(0, 4, 1)
-    with pytest.raises(ValueError):
-        correction_for(0, 0, 3)
+    assert _correction_table("B")[0, 0, 0] == 3
 
 
 def test_corrections_repair_every_ideal_branch():
@@ -189,7 +180,7 @@ def test_corrections_repair_every_ideal_branch():
                 for k in (1, 2):
                     q, rho = conditioned_state(resource, ket, j, k, cfg)
                     assert q == pytest.approx(0.125, abs=1e-12)
-                    s = qcore.pauli(correction_for(i, j, k))
+                    s = qcore.pauli(_correction_table("B")[i, j, k - 1])
                     fid = float((ket.conj() @ (s @ rho @ s) @ ket).real)
                     assert fid == pytest.approx(1.0, abs=1e-10)
 

@@ -37,11 +37,12 @@ def _params(J=1.0, gamma=0.0, eta=0.0, T=1.0):
 def test_params_accessors():
     p = _params(J=2.0, gamma=0.5, eta=0.4, T=0.8)
     assert p.b_field == pytest.approx(0.8)
-    assert p.b_script == pytest.approx(math.hypot(0.4, 0.5) * 2.0)
+    # the field-block energy B = hypot(eta, gamma) |J|, nonnegative even for J < 0
+    big_b = spectrum(p).energies[0]
+    assert big_b == math.hypot(p.eta, p.gamma) * abs(p.J)
+    assert spectrum(_params(J=-2.0, gamma=0.5, eta=0.4)).energies[0] == big_b
     # the kernels' unit form: beta = |J| / T on hypot(eta, gamma) is B / T
-    assert (abs(p.J) / p.T) * math.hypot(p.eta, p.gamma) == pytest.approx(p.b_script / p.T)
-    # b_script is nonnegative even for J < 0
-    assert _params(J=-2.0, gamma=0.5, eta=0.4).b_script > 0.0
+    assert (abs(p.J) / p.T) * math.hypot(p.eta, p.gamma) == pytest.approx(big_b / p.T)
 
 
 def test_params_validation():
@@ -648,5 +649,5 @@ def test_closed_forms_tend_to_their_zero_temperature_values(J, gamma, eta, depth
     # give what their T -> 0 inputs give
     p = _params(J, gamma, eta, 0.0)
     assume(abs(ground_region(p)[1] - 1.0) >= 1e-3)
-    warm = _params(J, gamma, eta, abs(p.b_script - abs(J)) / depth)
+    warm = _params(J, gamma, eta, abs(math.hypot(eta, gamma) * abs(J) - abs(J)) / depth)
     assert_allclose(_closed_form_values(warm), _closed_form_values(p), rtol=0.0, atol=1e-14)
