@@ -54,14 +54,34 @@ _SIGMA = np.array(
     dtype=complex,
 )
 
-# (basis index of the first branch, sign of the flipped partner)
-_BELL_TABLE = ((0, 1.0), (1, 1.0), (1, -1.0), (0, -1.0))
+# sigma_y x sigma_y, the spin flip of two qubits
+_YY = np.kron(_SIGMA[2], _SIGMA[2])
+
+
+def _check_index(i, count, what):
+    """Raise ValueError unless i is an integer in 0..count-1; bool and
+    numpy.bool_, which numpy would read as a mask, are refused."""
+    if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < count:
+        raise ValueError(f"{what} index must be in 0..{count - 1}, got {i!r}")
+
+
+def _pair_ket(dim, b, sign):
+    """(|b> + sign |dim-1-b>)/sqrt2 in dimension dim."""
+    ket = np.zeros(dim, dtype=complex)
+    ket[b] = 1.0 / np.sqrt(2.0)
+    ket[dim - 1 - b] = sign / np.sqrt(2.0)
+    return ket
+
+
+# Bell kets as rows, (basis index of the first branch, sign of the
+# flipped partner) per row
+_BELL_KETS = np.stack([_pair_ket(4, b, sign) for b, sign in ((0, 1.0), (1, 1.0), (1, -1.0), (0, -1.0))])
+_BELL_BRAS = _BELL_KETS.conj()
 
 
 def pauli(i):
     """Pauli matrix sigma^i, i in 0..3 (identity, x, y, z)."""
-    if i not in (0, 1, 2, 3):
-        raise ValueError(f"pauli index must be in 0..3, got {i!r}")
+    _check_index(i, 4, "pauli")
     return _SIGMA[i].copy()
 
 
@@ -71,13 +91,8 @@ def bell_ket(i):
     0: (|00>+|11>)/sqrt2   1: (|01>+|10>)/sqrt2
     2: (|01>-|10>)/sqrt2   3: (|00>-|11>)/sqrt2
     """
-    if i not in (0, 1, 2, 3):
-        raise ValueError(f"bell index must be in 0..3, got {i!r}")
-    b, sign = _BELL_TABLE[i]
-    ket = np.zeros(4, dtype=complex)
-    ket[b] = 1.0 / np.sqrt(2.0)
-    ket[3 - b] = sign / np.sqrt(2.0)
-    return ket
+    _check_index(i, 4, "bell")
+    return _BELL_KETS[i].copy()
 
 
 def ghz_ket(i):
@@ -87,14 +102,8 @@ def ghz_ket(i):
     indices 4..7 mirror 3..0 with a minus sign on the flipped branch:
     4: (|011>-|100>)/sqrt2 ... 7: (|000>-|111>)/sqrt2.
     """
-    if i not in range(8):
-        raise ValueError(f"ghz index must be in 0..7, got {i!r}")
-    b = i if i <= 3 else 7 - i
-    sign = 1.0 if i <= 3 else -1.0
-    ket = np.zeros(8, dtype=complex)
-    ket[b] = 1.0 / np.sqrt(2.0)
-    ket[7 - b] = sign / np.sqrt(2.0)
-    return ket
+    _check_index(i, 8, "ghz")
+    return _pair_ket(8, i, 1.0) if i <= 3 else _pair_ket(8, 7 - i, -1.0)
 
 
 def ket_density(ket):
@@ -121,11 +130,19 @@ def num_qubits(dim):
     return n
 
 
+def _check_finite(array, what):
+    """Raise ValueError on a NaN or infinite entry, before any arithmetic
+    on it could warn or reach LAPACK."""
+    if not np.isfinite(array).all():
+        raise ValueError(f"{what} has a non-finite entry")
+
+
 def validate_ket(ket, dim=None):
     """Raise ValueError unless ket is a normalized state vector."""
     ket = np.asarray(ket)
     if ket.ndim != 1:
         raise ValueError("ket must be one-dimensional")
+    _check_finite(ket, "ket")
     num_qubits(ket.shape[0])
     if dim is not None and ket.shape[0] != dim:
         raise ValueError(f"ket dimension {ket.shape[0]} != expected {dim}")
@@ -137,12 +154,13 @@ def validate_ket(ket, dim=None):
 def validate_density(rho, dim=None):
     """Raise ValueError unless rho is a valid density operator.
 
-    Checks: square power-of-two shape, Hermitian within 1e-10 entrywise,
-    unit trace within 1e-10, eigenvalues >= -1e-9.
+    Checks: square power-of-two shape, finite entries, Hermitian within
+    1e-10 entrywise, unit trace within 1e-10, eigenvalues >= -1e-9.
     """
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError("density operator must be a square matrix")
+    _check_finite(rho, "density operator")
     num_qubits(rho.shape[0])
     if dim is not None and rho.shape[0] != dim:
         raise ValueError(f"density dimension {rho.shape[0]} != expected {dim}")
@@ -161,6 +179,7 @@ def validate_projector(proj, dim=None):
     proj = np.asarray(proj)
     if proj.ndim != 2 or proj.shape[0] != proj.shape[1]:
         raise ValueError("projector must be a square matrix")
+    _check_finite(proj, "projector")
     num_qubits(proj.shape[0])
     if dim is not None and proj.shape[0] != dim:
         raise ValueError(f"projector dimension {proj.shape[0]} != expected {dim}")
@@ -262,8 +281,7 @@ def spin_flip_lambdas(rho):
     """
     rho = np.asarray(rho, dtype=complex)
     validate_density(rho, dim=4)
-    yy = np.kron(_SIGMA[2], _SIGMA[2])
-    flipped = yy @ rho.conj() @ yy
+    flipped = _YY @ rho.conj() @ _YY
     k = sqrtm_psd(flipped) @ sqrtm_psd(rho)
     return np.linalg.svd(k, compute_uv=False)
 
@@ -276,12 +294,11 @@ def wootters_concurrence(rho):
 
 
 def bell_fraction(rho):
-    """Largest overlap of a two-qubit state with the four Bell kets."""
+    """Largest overlap of a two-qubit state with the four Bell kets, the
+    overlaps <b_i|rho|b_i> taken in one contraction."""
     rho = np.asarray(rho, dtype=complex)
     validate_density(rho, dim=4)
-    return float(
-        max(np.vdot(bell_ket(i), rho @ bell_ket(i)).real for i in range(4))
-    )
+    return float(np.einsum("ia,ab,ib->i", _BELL_BRAS, rho, _BELL_KETS).real.max())
 
 
 # The six axis states |0>, |1>, |+-> and |+-i>: the octahedron is a

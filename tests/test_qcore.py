@@ -1,11 +1,15 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from xyswap import qcore
+from xyswap import qcore, swapnet, teleport
+from xyswap.xychain import ChainParams, thermal_state
 
 from helpers import random_density, random_ket, random_unitary
 
@@ -47,6 +51,15 @@ def test_ghz_kets():
 
 def _bloch_ket(theta, phi):
     return np.array([math.cos(theta / 2.0), np.exp(1j * phi) * math.sin(theta / 2.0)])
+
+
+@pytest.mark.parametrize("index", [True, False, np.True_, np.False_], ids=repr)
+@pytest.mark.parametrize("constructor", [qcore.pauli, qcore.bell_ket, qcore.ghz_ket], ids=lambda f: f.__name__)
+def test_basis_constructors_reject_boolean_indices(constructor, index):
+    # numpy reads a boolean index as a mask: pauli(True) would be a
+    # (1, 4, 2, 2) stack and ghz_ket(True) a ket of norm 4
+    with pytest.raises(ValueError, match="index must be in"):
+        constructor(index)
 
 
 def test_bloch_ket_poles_and_equator():
@@ -296,6 +309,48 @@ def test_validators():
         qcore.validate_projector(0.5 * qcore.ket_density(qcore.ghz_ket(3)))
 
 
+def _nonfinite_density(bad):
+    rho = np.eye(4, dtype=complex) / 4
+    rho[1, 1] = bad
+    return rho
+
+
+def _nonfinite_ket(bad):
+    return np.array([bad, 1.0], dtype=complex)
+
+
+def _nonfinite_projector(bad):
+    proj = qcore.ket_density(qcore.ghz_ket(3))
+    proj[0, 0] = bad
+    return proj
+
+
+_MIXED = np.eye(4, dtype=complex) / 4
+
+# each entry point, called with one NaN or infinite entry in its state
+_NONFINITE_CALLS = {
+    "validate_density": lambda bad: qcore.validate_density(_nonfinite_density(bad), dim=4),
+    "validate_ket": lambda bad: qcore.validate_ket(_nonfinite_ket(bad), dim=2),
+    "validate_projector": lambda bad: qcore.validate_projector(_nonfinite_projector(bad)),
+    "wootters_concurrence": lambda bad: qcore.wootters_concurrence(_nonfinite_density(bad)),
+    "bell_fraction": lambda bad: qcore.bell_fraction(_nonfinite_density(bad)),
+    "swap_triple": lambda bad: swapnet.swap_triple(_MIXED, _nonfinite_density(bad), _MIXED),
+    "conditioned_state": lambda bad: teleport.conditioned_state(
+        np.eye(8, dtype=complex) / 8, _nonfinite_ket(bad), 0, 1
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("entry", sorted(_NONFINITE_CALLS))
+def test_nonfinite_states_raise_value_error_without_warning(entry, bad):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="non-finite"):
+            _NONFINITE_CALLS[entry](bad)
+    assert [str(w.message) for w in caught] == []
+
+
 def test_operations_return_valid_densities():
     rng = np.random.default_rng(37)
     for _ in range(10):
@@ -313,3 +368,64 @@ def test_spin_flip_lambdas():
     ket01[1] = 1.0
     lam = qcore.spin_flip_lambdas(qcore.ket_density(ket01))
     assert np.all(lam < 1e-7)
+
+
+def _kron_spin_flip_lambdas(rho):
+    """spin_flip_lambdas with sigma_y x sigma_y formed on every call."""
+    rho = np.asarray(rho, dtype=complex)
+    qcore.validate_density(rho, dim=4)
+    yy = np.kron(qcore.pauli(2), qcore.pauli(2))
+    flipped = yy @ rho.conj() @ yy
+    k = qcore.sqrtm_psd(flipped) @ qcore.sqrtm_psd(rho)
+    return np.linalg.svd(k, compute_uv=False)
+
+
+def _vdot_bell_fraction(rho):
+    """bell_fraction as the largest of four per-ket vdots."""
+    rho = np.asarray(rho, dtype=complex)
+    return float(max(np.vdot(qcore.bell_ket(i), rho @ qcore.bell_ket(i)).real for i in range(4)))
+
+
+def _assert_oracles_match_per_call_forms(rho):
+    assert np.array_equal(qcore.spin_flip_lambdas(rho), _kron_spin_flip_lambdas(rho))
+    assert abs(qcore.bell_fraction(rho) - _vdot_bell_fraction(rho)) <= 1e-15
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4))
+def test_oracles_match_their_per_call_forms_on_random_states(seed, rank):
+    _assert_oracles_match_per_call_forms(random_density(np.random.default_rng(seed), 4, rank))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    J=st.floats(0.1, 10.0),
+    gamma=st.floats(0.0, 1.0),
+    eta=st.floats(0.0, 5.0),
+    T=st.floats(-3.0, 2.0).map(lambda x: 10.0**x),
+)
+def test_oracles_match_their_per_call_forms_on_gibbs_states(J, gamma, eta, T):
+    for sj, sg, se in itertools.product((1.0, -1.0), repeat=3):
+        p = ChainParams(J=sj * J, gamma=sg * gamma, eta=se * eta, T=T)
+        _assert_oracles_match_per_call_forms(thermal_state(p))
+
+
+def test_oracles_build_no_constants_per_call(monkeypatch):
+    # sigma_y x sigma_y and the Bell kets are built once, at import
+    calls = []
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np, "kron", counted("kron", np.kron))
+    monkeypatch.setattr(qcore, "bell_ket", counted("bell_ket", qcore.bell_ket))
+    rho = random_density(np.random.default_rng(41), 4)
+    qcore.wootters_concurrence(rho)
+    qcore.bell_fraction(rho)
+    assert calls == []
+    # the counters see the calls that do happen
+    qcore.tensor(qcore.bell_ket(0), qcore.bell_ket(1))
+    assert calls == ["bell_ket", "bell_ket", "kron"]
