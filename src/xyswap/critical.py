@@ -35,9 +35,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+# unused here, but the perfbench tracer wraps pair_metrics and fidelity_closed_form under these names
 from .teleport import fidelity_closed_form, fidelity_coefficients
 from .xychain import (
-    ChainParams, bell_overlap, field_terms, is_finite, pair_metrics, scaled_exponentials, spin_flip_roots,
+    ChainParams, bell_overlap, field_terms, is_finite, kernel_inputs, pair_metrics, scaled_exponentials,
+    spin_flip_roots,
 )
 
 __all__ = [
@@ -110,22 +112,17 @@ def t3_asymptote(gamma, eta, J=1.0):
     return eta * J / den
 
 
-# the margins by the public closed forms; the solver calls them only at T = 0
-def _margin_concurrence(params):
-    lams = pair_metrics(params).lambdas
-    return 2.0 * lams[0] - (((lams[0] + lams[1]) + lams[2]) + lams[3])
-
-
-def _margin_fef(params):
-    return pair_metrics(params).fef - 0.5
-
-
-def _margin_phi(params):
-    r = fidelity_closed_form(params)  # at the default mu = pi/4
-    return r.c1 + 0.5 * r.c2 - 2.0 / 3.0
-
-
-_MARGINS = {1: _margin_concurrence, 2: _margin_fef, 3: _margin_phi}
+def _margin(kind, e, r):
+    """The kind's margin from the closed forms' kernels on their inputs
+    (e, r), floats (`kernel_inputs`) or arrays (`scaled_exponentials` and
+    `field_terms`), so each value is bit for bit the one the public closed
+    forms give at J = 1."""
+    if kind == 1:
+        return spin_flip_roots(e, r)[1]
+    if kind == 2:
+        return bell_overlap(e, r) - 0.5
+    c1, c2 = fidelity_coefficients(e, r)  # at mu = pi/4
+    return c1 + 0.5 * c2 - 2.0 / 3.0
 
 
 def _default_t_hi(kind, gamma, eta):
@@ -138,18 +135,11 @@ def _default_t_hi(kind, gamma, eta):
 
 def _scan_margins(kind, b, r, t):
     """The kind's margin at temperatures t / J > 0, with b and r from
-    `field_terms`, arrays of one shape: the closed forms' kernels, so each
-    value is bit for bit that of `_MARGINS` at J = 1.  Where b / t overflows
-    (at t >= 1e-6, hypot(eta, gamma) above ~1.8e302) the kernels give NaN,
-    set to 0, the margin of their T -> 0 input there (`kernel_inputs`)."""
-    e = scaled_exponentials(1.0 / t, b)
-    if kind == 1:
-        margin = spin_flip_roots(e, r)[1]
-    elif kind == 2:
-        margin = bell_overlap(e, r) - 0.5
-    else:
-        c1, c2 = fidelity_coefficients(e, r)
-        margin = c1 + 0.5 * c2 - 2.0 / 3.0
+    `field_terms`, arrays of one shape: `_margin` on `scaled_exponentials`.
+    Where b / t overflows (at t >= 1e-6, hypot(eta, gamma) above ~1.8e302)
+    the kernels give NaN, set to 0, the margin of their T -> 0 input there
+    (`kernel_inputs`)."""
+    margin = _margin(kind, scaled_exponentials(1.0 / t, b), r)
     np.copyto(margin, 0.0, where=np.isnan(margin))
     return margin
 
@@ -304,8 +294,8 @@ def _solve(kind, gamma, etas, t_his, j):
     ceiling, all in lockstep on the array margins (`_bisect`).  The array
     margins are the public closed forms' kernels, bit for bit, so each
     sign, bracket, root and warning is the one a point-by-point scalar
-    solver on the same grid gives; only the T = 0 fallback of `_root`
-    calls a closed form itself.
+    solver on the same grid gives; the T = 0 fallback of `_root` runs the
+    same `_margin` on the kernels' T = 0 input.
     """
     sweep = _Sweep(kind, gamma, etas)
     f_hi, crossings, first = np.empty(len(etas)), np.zeros(len(etas), dtype=np.intp), [None] * len(etas)
@@ -329,7 +319,7 @@ def _root(kind, gamma, eta, t_hi, f_hi, crossings, bracket, j):
         return CriticalResult(kind, gamma, eta, math.nan, None, False)
 
     if bracket is None:
-        m0 = _MARGINS[kind](ChainParams(J=1.0, gamma=gamma, eta=eta, T=0.0))
+        m0 = _margin(kind, *kernel_inputs(ChainParams(J=1.0, gamma=gamma, eta=eta, T=0.0)))
         if m0 <= 0.0:
             return CriticalResult(kind, gamma, eta, 0.0, (0.0, 0.0), True)
         logger.warning(
@@ -381,7 +371,7 @@ def t3_critical(gamma, eta, J=1.0, *, t_hi=None):
 
 def sweep(kind, gamma, eta_grid, J=1.0):
     """All critical temperatures of one kind along a grid of eta values."""
-    if isinstance(kind, bool) or not isinstance(kind, (int, np.integer)) or kind not in _MARGINS:
+    if isinstance(kind, bool) or not isinstance(kind, (int, np.integer)) or kind not in (1, 2, 3):
         raise ValueError(f"kind must be 1, 2 or 3, got {kind!r}")
     _check_domain(gamma, 0.0, J)  # gamma and J once, whatever the grid
     etas = list(eta_grid)

@@ -130,22 +130,39 @@ def num_qubits(dim):
     return n
 
 
-def _check_finite(array, what):
-    """Raise ValueError on a NaN or infinite entry, before any arithmetic
-    on it could warn or reach LAPACK."""
+def _checked(array, what, ndim, dim=None):
+    """The checks every state, projector and operator argument shares: its
+    shape (a vector for ndim 1, a square matrix for 2), finite entries,
+    before any arithmetic on them could warn or reach LAPACK, a power-of-two
+    size and, if given, the size `dim`.  Returns the array and its number of
+    qubits."""
+    array = np.asarray(array)
+    if array.ndim != ndim or array.shape[0] != array.shape[-1]:
+        raise ValueError(f"{what} must be {'one-dimensional' if ndim == 1 else 'a square matrix'}")
     if not np.isfinite(array).all():
         raise ValueError(f"{what} has a non-finite entry")
+    n = num_qubits(array.shape[0])
+    if dim is not None and array.shape[0] != dim:
+        raise ValueError(f"{what} dimension {array.shape[0]} != expected {dim}")
+    return array, n
+
+
+def _check_qubits(qubits, n, what):
+    """The qubit labels as a tuple of ints: at least one, each an integer in
+    0..n-1 as `_check_index` has it, none twice."""
+    qubits = tuple(qubits)
+    if not qubits:
+        raise ValueError(f"{what} must list at least one qubit")
+    for q in qubits:
+        _check_index(q, n, f"{what} qubit")
+    if len(set(qubits)) != len(qubits):
+        raise ValueError(f"{what} has duplicate qubits: {qubits}")
+    return tuple(int(q) for q in qubits)
 
 
 def validate_ket(ket, dim=None):
     """Raise ValueError unless ket is a normalized state vector."""
-    ket = np.asarray(ket)
-    if ket.ndim != 1:
-        raise ValueError("ket must be one-dimensional")
-    _check_finite(ket, "ket")
-    num_qubits(ket.shape[0])
-    if dim is not None and ket.shape[0] != dim:
-        raise ValueError(f"ket dimension {ket.shape[0]} != expected {dim}")
+    ket, _ = _checked(ket, "ket", 1, dim)
     norm = float(np.vdot(ket, ket).real)
     if abs(norm - 1.0) > 1e-12:
         raise ValueError(f"ket is not normalized: |ket|^2 = {norm!r}")
@@ -157,13 +174,7 @@ def validate_density(rho, dim=None):
     Checks: square power-of-two shape, finite entries, Hermitian within
     1e-10 entrywise, unit trace within 1e-10, eigenvalues >= -1e-9.
     """
-    rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError("density operator must be a square matrix")
-    _check_finite(rho, "density operator")
-    num_qubits(rho.shape[0])
-    if dim is not None and rho.shape[0] != dim:
-        raise ValueError(f"density dimension {rho.shape[0]} != expected {dim}")
+    rho, _ = _checked(rho, "density operator", 2, dim)
     if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
         raise ValueError("density operator is not Hermitian")
     tr = complex(np.trace(rho))
@@ -176,13 +187,7 @@ def validate_density(rho, dim=None):
 
 def validate_projector(proj, dim=None):
     """Raise ValueError unless proj is an orthogonal projector."""
-    proj = np.asarray(proj)
-    if proj.ndim != 2 or proj.shape[0] != proj.shape[1]:
-        raise ValueError("projector must be a square matrix")
-    _check_finite(proj, "projector")
-    num_qubits(proj.shape[0])
-    if dim is not None and proj.shape[0] != dim:
-        raise ValueError(f"projector dimension {proj.shape[0]} != expected {dim}")
+    proj, _ = _checked(proj, "projector", 2, dim)
     if np.max(np.abs(proj - proj.conj().T)) > 1e-10:
         raise ValueError("projector is not Hermitian")
     if np.max(np.abs(proj @ proj - proj)) > 1e-10:
@@ -195,16 +200,8 @@ def validate_projector(proj, dim=None):
 def embed_operator(op, subset, n):
     """Extend an operator acting on the qubits listed in `subset` (in that
     order) to the full n-qubit register, identity elsewhere."""
-    op = np.asarray(op, dtype=complex)
-    subset = tuple(int(q) for q in subset)
-    if len(set(subset)) != len(subset):
-        raise ValueError(f"subset has duplicate qubits: {subset}")
-    if any(q < 0 or q >= n for q in subset):
-        raise ValueError(f"subset {subset} out of range for {n} qubits")
-    if op.shape != (2 ** len(subset), 2 ** len(subset)):
-        raise ValueError(
-            f"operator shape {op.shape} does not act on {len(subset)} qubits"
-        )
+    subset = _check_qubits(subset, n, "subset")
+    op, _ = _checked(np.asarray(op, dtype=complex), "operator", 2, 2 ** len(subset))
     rest = [q for q in range(n) if q not in subset]
     full = np.kron(op, np.eye(2 ** len(rest), dtype=complex))
     order = list(subset) + rest  # qubit owned by each tensor axis of `full`
@@ -216,15 +213,8 @@ def embed_operator(op, subset, n):
 
 def partial_trace(rho, keep):
     """Reduced state on the qubits in `keep`, returned in the given order."""
-    rho = np.asarray(rho, dtype=complex)
-    n = num_qubits(rho.shape[0])
-    keep = tuple(int(q) for q in keep)
-    if not keep:
-        raise ValueError("keep must list at least one qubit")
-    if len(set(keep)) != len(keep):
-        raise ValueError(f"keep has duplicate qubits: {keep}")
-    if any(q < 0 or q >= n for q in keep):
-        raise ValueError(f"keep {keep} out of range for {n} qubits")
+    rho, n = _checked(np.asarray(rho, dtype=complex), "density operator", 2)
+    keep = _check_qubits(keep, n, "keep")
     rest = [q for q in range(n) if q not in keep]
     perm = list(keep) + rest
     axes = perm + [n + p for p in perm]
@@ -241,8 +231,7 @@ def measure(rho, proj, subset):
     renormalized and still on the full register.  Branches of probability
     <= ZERO_PROB_THRESHOLD return (probability, None).
     """
-    rho = np.asarray(rho, dtype=complex)
-    n = num_qubits(rho.shape[0])
+    rho, n = _checked(np.asarray(rho, dtype=complex), "density operator", 2)
     full = embed_operator(proj, subset, n)
     prob = float(np.trace(full @ rho).real)
     if prob <= ZERO_PROB_THRESHOLD:
@@ -254,10 +243,8 @@ def measure(rho, proj, subset):
 
 def hermitian_eigensystem(matrix):
     """Eigenvalues (ascending) and column eigenvectors of the Hermitian part
-    of a square matrix, by LAPACK (numpy.linalg.eigh)."""
-    a = np.asarray(matrix, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
+    of a square matrix of power-of-two size, by LAPACK (numpy.linalg.eigh)."""
+    a, _ = _checked(np.asarray(matrix, dtype=complex), "matrix", 2)
     return np.linalg.eigh(0.5 * (a + a.conj().T))
 
 

@@ -94,24 +94,16 @@ def conditioned_state(resource, input_ket, j, k, cfg=None):
     cfg = cfg if cfg is not None else TeleportConfig()
     qcore.validate_density(resource, dim=8)
     qcore.validate_ket(input_ket, dim=2)
-    if j not in range(4):
+    if isinstance(j, bool) or not isinstance(j, (int, np.integer)) or j not in range(4):
         raise ValueError(f"bell outcome j must be in 0..3, got {j!r}")
-    if k not in (1, 2):
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k not in (1, 2):
         raise ValueError(f"assisting outcome k must be 1 or 2, got {k!r}")
     bells, singles = measurement_family(cfg)
-    one = np.eye(2, dtype=complex)
-    if cfg.measure_qubit == "B":
-        proj = qcore.tensor(bells[j], singles[k - 1], one)
-        keep = (3,)
-    else:
-        proj = qcore.tensor(bells[j], one, singles[k - 1])
-        keep = (2,)
+    # qubits (A1, A2, B, C): the assisting one is measured, the other kept
+    assist, keep = (2, 3) if cfg.measure_qubit == "B" else (3, 2)
     total = qcore.tensor(qcore.ket_density(input_ket), resource)
-    q = float(np.trace(proj @ total).real)
-    if q <= qcore.ZERO_PROB_THRESHOLD:
-        return q, None
-    post = proj @ total @ proj / q
-    return q, qcore.partial_trace(post, keep)
+    q, post = qcore.measure(total, qcore.tensor(bells[j], singles[k - 1]), (0, 1, assist))
+    return q, None if post is None else qcore.partial_trace(post, (keep,))
 
 
 # the bra u[n, j, k, a, b] on both sides of channel m; "C" swaps its B and C axes

@@ -1,6 +1,7 @@
 """Shared test utilities: random states, independent embeddings, the
-three-qubit tangle used to pin swap outputs, and the point-by-point
-critical-temperature solver the array scan is checked against."""
+three-qubit tangle used to pin swap outputs, and the margins through the
+public closed forms with the point-by-point critical-temperature solver
+on them that the array scan is checked against."""
 
 import math
 import sys
@@ -8,7 +9,8 @@ import sys
 import numpy as np
 
 from xyswap import critical
-from xyswap.xychain import ChainParams
+from xyswap.teleport import fidelity_closed_form
+from xyswap.xychain import ChainParams, pair_metrics
 
 
 def random_ket(rng, dim):
@@ -85,6 +87,18 @@ def three_tangle(psi):
     return float(4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3))
 
 
+def public_margin(kind, params):
+    """The solver's signed margin of `kind` through the public closed forms
+    `pair_metrics` and `fidelity_closed_form` (mu = pi/4), apart from the
+    solver's own `critical._margin`."""
+    if kind == 3:
+        r = fidelity_closed_form(params)
+        return r.c1 + 0.5 * r.c2 - 2.0 / 3.0
+    m = pair_metrics(params)
+    lams = m.lambdas
+    return 2.0 * lams[0] - (((lams[0] + lams[1]) + lams[2]) + lams[3]) if kind == 1 else m.fef - 0.5
+
+
 def reference_critical(kind, gamma, eta, J=1.0, t_hi=None, step=None):
     """The critical-temperature solver with its descending scan evaluated
     one scalar closed form per temperature, in units of J: the margins
@@ -98,11 +112,10 @@ def reference_critical(kind, gamma, eta, J=1.0, t_hi=None, step=None):
         t_hi = critical._default_t_hi(kind, gamma, eta)
     else:
         t_hi = min(max(t_hi / J, critical._T_FLOOR_OVER_J), sys.float_info.max)
-    margin = critical._MARGINS[kind]
     messages = []
 
     def f(t):
-        return margin(ChainParams(J=1.0, gamma=gamma, eta=eta, T=t))
+        return public_margin(kind, ChainParams(J=1.0, gamma=gamma, eta=eta, T=t))
 
     def result(t_over_j, bracket, converged):
         return critical.CriticalResult(kind, gamma, eta, t_over_j, bracket, converged), messages

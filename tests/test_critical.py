@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_critical
+from helpers import public_margin, reference_critical
 from xyswap import critical, qcore
 from xyswap.critical import (
     CriticalResult,
@@ -426,11 +426,13 @@ def test_scalar_recheck_budget(monkeypatch, kind, fig1_evals, tail_evals):
 
 def test_t0_fallback_is_the_only_scalar_call(monkeypatch):
     # eta = 1.2 at gamma = 0 has no FEF crossing, so its root comes from the
-    # closed form at T = 0: one call, for that eta only
-    evals = _counted_closed_forms(monkeypatch)
+    # margin on the kernels' T = 0 input: one scalar call, for that eta only
+    evals = []
+    inputs = critical.kernel_inputs
+    monkeypatch.setattr(critical, "kernel_inputs", lambda params: evals.append(params) or inputs(params))
     results = sweep(2, 0.0, [0.4, 1.2, 0.9])
-    assert [p.T for (p,) in evals] == [0.0]
-    assert [p.eta for (p,) in evals] == [1.2]
+    assert [p.T for p in evals] == [0.0]
+    assert [p.eta for p in evals] == [1.2]
     assert results[1].t_over_j == 0.0
 
 
@@ -467,7 +469,7 @@ def test_bisection_closes_brackets_above_two_to_the_26_j():
     # the scalar loop of tests/helpers.py on the same bracket
     while hi - lo > critical._BRACKET_WIDTH_OVER_J and 0.5 * (lo + hi) not in (lo, hi):
         mid = 0.5 * (lo + hi)
-        if critical._MARGINS[2](ChainParams(J=1.0, gamma=0.5, eta=1e10, T=mid)) > 0.0:
+        if public_margin(2, ChainParams(J=1.0, gamma=0.5, eta=1e10, T=mid)) > 0.0:
             lo = mid
         else:
             hi = mid
@@ -556,12 +558,11 @@ def test_array_margins_match_scalar_margins(kind, lanes, data):
     b, r, t = arrays[:, ::stride]
     with np.errstate(all="ignore"):
         values = critical._scan_margins(kind, b, r, t)
-    margin = critical._MARGINS[kind]
     for value, (gamma, eta, t_over_j), b_lane, t_lane in zip(values.tolist(), points, b.tolist(), t.tolist()):
-        scalar = margin(ChainParams(J=1.0, gamma=gamma, eta=eta, T=t_over_j))
+        scalar = public_margin(kind, ChainParams(J=1.0, gamma=gamma, eta=eta, T=t_over_j))
         assert value == scalar
         if 1.0 / t_lane * b_lane == math.inf:  # beta B, as the closed forms form it
-            assert value == margin(ChainParams(J=1.0, gamma=gamma, eta=eta, T=0.0)) == 0.0
+            assert value == public_margin(kind, ChainParams(J=1.0, gamma=gamma, eta=eta, T=0.0)) == 0.0
 
 
 def _fig1_scan_temperatures():
@@ -586,5 +587,5 @@ def test_array_margins_match_scalar_margins_on_the_fig1_scan(kind, gamma):
         assert critical._default_t_hi(kind, gamma, eta) == ts[0]
         b, r = field_terms(gamma, eta)
         values = critical._scan_margins(kind, np.full(ts.size, b), np.full(ts.size, r), ts)
-        scalar = [critical._MARGINS[kind](ChainParams(J=1.0, gamma=gamma, eta=eta, T=t)) for t in ts.tolist()]
+        scalar = [public_margin(kind, ChainParams(J=1.0, gamma=gamma, eta=eta, T=t)) for t in ts.tolist()]
         assert values.tolist() == scalar, eta

@@ -338,6 +338,11 @@ _NONFINITE_CALLS = {
     "conditioned_state": lambda bad: teleport.conditioned_state(
         np.eye(8, dtype=complex) / 8, _nonfinite_ket(bad), 0, 1
     ),
+    "measure": lambda bad: qcore.measure(_nonfinite_density(bad), qcore.ket_density(qcore.bell_ket(0)), (0, 1)),
+    "partial_trace": lambda bad: qcore.partial_trace(_nonfinite_density(bad), (0,)),
+    "embed_operator": lambda bad: qcore.embed_operator(_nonfinite_density(bad), (2, 0), 3),
+    "hermitian_eigensystem": lambda bad: qcore.hermitian_eigensystem(_nonfinite_density(bad)),
+    "sqrtm_psd": lambda bad: qcore.sqrtm_psd(_nonfinite_density(bad)),
 }
 
 
@@ -349,6 +354,25 @@ def test_nonfinite_states_raise_value_error_without_warning(entry, bad):
         with pytest.raises(ValueError, match="non-finite"):
             _NONFINITE_CALLS[entry](bad)
     assert [str(w.message) for w in caught] == []
+
+
+_PROJ0 = np.array([[1, 0], [0, 0]], dtype=complex)
+
+# each entry point that takes qubit labels, called with one label
+_LABELED_CALLS = {
+    "embed_operator": lambda q: qcore.embed_operator(_PROJ0, (q,), 2),
+    "partial_trace": lambda q: qcore.partial_trace(_MIXED, (q,)),
+    "measure": lambda q: qcore.measure(_MIXED, _PROJ0, (q,)),
+}
+
+
+@pytest.mark.parametrize("label", [True, np.True_, 0.7, 1.0], ids=repr)
+@pytest.mark.parametrize("entry", sorted(_LABELED_CALLS))
+def test_qubit_labels_reject_booleans_and_non_integers(entry, label):
+    # int(0.7) would act on qubit 0 and int(True) on qubit 1, unasked
+    with pytest.raises(ValueError, match="index must be in"):
+        _LABELED_CALLS[entry](label)
+    _LABELED_CALLS[entry](np.int64(1))
 
 
 def test_operations_return_valid_densities():

@@ -128,6 +128,12 @@ def test_conditioned_state_validation():
         conditioned_state(np.eye(4, dtype=complex) / 4.0, _E0, 0, 1)
     with pytest.raises(ValueError):
         conditioned_state(resource, 2.0 * _E0, 0, 1)
+    # booleans and non-integers are not outcomes: j = True is not outcome 1,
+    # and j = 1.0, which passes `in range(4)`, cannot index the Bell list
+    for j, k in ((True, 1), (np.True_, 1), (1.0, 1), (0, True), (0, np.True_), (0, 1.0), (0, 2.0)):
+        with pytest.raises(ValueError):
+            conditioned_state(resource, _E0, j, k)
+    assert conditioned_state(resource, _E0, np.int64(1), np.int64(2))[0] == pytest.approx(0.125)
 
 
 # ---------------------------------------------------------------------------
