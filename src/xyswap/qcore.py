@@ -168,21 +168,33 @@ def validate_ket(ket, dim=None):
         raise ValueError(f"ket is not normalized: |ket|^2 = {norm!r}")
 
 
+def _check_spectrum(w, what):
+    """Raise ValueError if the eigenvalues w of `what` go below
+    -EIGENVALUE_CLAMP."""
+    wmin = float(w.min())
+    if wmin < -EIGENVALUE_CLAMP:
+        raise ValueError(f"{what} has eigenvalue {wmin} < -{EIGENVALUE_CLAMP}")
+
+
+def _density_checked(rho, dim):
+    """`validate_density` up to its eigenvalue check: shape, finite
+    entries, Hermitian and unit trace.  Returns the array."""
+    rho, _ = _checked(rho, "density operator", 2, dim)
+    if abs(rho - rho.conj().T).max() > 1e-10:
+        raise ValueError("density operator is not Hermitian")
+    tr = complex(rho.trace())
+    if abs(tr - 1.0) > 1e-10:
+        raise ValueError(f"density operator trace {tr!r} != 1")
+    return rho
+
+
 def validate_density(rho, dim=None):
     """Raise ValueError unless rho is a valid density operator.
 
     Checks: square power-of-two shape, finite entries, Hermitian within
     1e-10 entrywise, unit trace within 1e-10, eigenvalues >= -1e-9.
     """
-    rho, _ = _checked(rho, "density operator", 2, dim)
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
-        raise ValueError("density operator is not Hermitian")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > 1e-10:
-        raise ValueError(f"density operator trace {tr!r} != 1")
-    wmin = float(np.linalg.eigvalsh(rho).min())
-    if wmin < -EIGENVALUE_CLAMP:
-        raise ValueError(f"density operator has eigenvalue {wmin} < -{EIGENVALUE_CLAMP}")
+    _check_spectrum(np.linalg.eigvalsh(_density_checked(rho, dim)), "density operator")
 
 
 def validate_projector(proj, dim=None):
@@ -241,19 +253,31 @@ def measure(rho, proj, subset):
     return prob, post
 
 
+def _eigensystem(a):
+    """Eigenvalues (ascending) and column eigenvectors of the Hermitian part
+    of a, unchecked."""
+    return np.linalg.eigh(0.5 * (a + a.conj().T))
+
+
+def _psd_root(w, v):
+    """V sqrt(W) V^H from an eigensystem, eigenvalues clipped at zero."""
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+
+
 def hermitian_eigensystem(matrix):
     """Eigenvalues (ascending) and column eigenvectors of the Hermitian part
     of a square matrix of power-of-two size, by LAPACK (numpy.linalg.eigh)."""
     a, _ = _checked(np.asarray(matrix, dtype=complex), "matrix", 2)
-    return np.linalg.eigh(0.5 * (a + a.conj().T))
+    return _eigensystem(a)
 
 
 def sqrtm_psd(matrix):
-    """Hermitian square root of a positive-semidefinite matrix."""
+    """Hermitian square root of a positive-semidefinite matrix, from the
+    eigensystem of its Hermitian part; eigenvalues in [-EIGENVALUE_CLAMP, 0)
+    count as zero, lower ones are a ValueError."""
     w, v = hermitian_eigensystem(matrix)
-    if float(w.min()) < -EIGENVALUE_CLAMP:
-        raise ValueError(f"matrix has eigenvalue {float(w.min())} < -{EIGENVALUE_CLAMP}")
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    _check_spectrum(w, "matrix")
+    return _psd_root(w, v)
 
 
 def spin_flip_lambdas(rho):
@@ -265,11 +289,17 @@ def spin_flip_lambdas(rho):
     K = sqrt(rho_flipped) sqrt(rho).  Working on K instead of K^H K keeps
     roots near zero at full absolute precision; squaring first would bury
     anything below sqrt(machine epsilon) in roundoff.
+
+    One `eigh` per state: rho gets `validate_density`'s checks, with the
+    eigenvalue check read from the eigensystem of its Hermitian part that
+    sqrt(rho) is built from; rho_flipped, finite and unitarily similar to
+    rho*, goes straight to the unchecked square root.
     """
-    rho = np.asarray(rho, dtype=complex)
-    validate_density(rho, dim=4)
+    rho = _density_checked(np.asarray(rho, dtype=complex), 4)
+    w, v = _eigensystem(rho)
+    _check_spectrum(w, "density operator")
     flipped = _YY @ rho.conj() @ _YY
-    k = sqrtm_psd(flipped) @ sqrtm_psd(rho)
+    k = _psd_root(*_eigensystem(flipped)) @ _psd_root(w, v)
     return np.linalg.svd(k, compute_uv=False)
 
 

@@ -159,6 +159,10 @@ def _positive_frame(params):
     return frame
 
 
+# the branches (i, j, k) in the order of a table's entries [i, j, k - 1]
+_BRANCHES = tuple((i, j, k) for i in range(8) for j in range(4) for k in (1, 2))
+
+
 @functools.cache
 def _correction_table(measure_qubit):
     """Static Pauli index for branch (i, j, k) at entry [i, j, k - 1]."""
@@ -216,12 +220,11 @@ def evaluate(params, cfg=None):
     # zero rows for the outcomes the swap never produces
     weight = np.zeros((8, 4, 2))
     weight[kept] = probs[:, None, None] * np.einsum("n,nmjk->mjk", wts, q)
-    branches = [(i, j, k) for i in range(8) for j in range(4) for k in (1, 2)]
     return TeleportResult(
         c1=closed.c1,
         c2=closed.c2,
         phi_closed=closed.phi_closed,
         phi_simulated=phi_sim,
-        correction_table={b: int(full_table[b[0], b[1], b[2] - 1]) for b in branches},
-        per_outcome_weight={b: float(weight[b[0], b[1], b[2] - 1]) for b in branches},
+        correction_table=dict(zip(_BRANCHES, full_table.ravel().tolist())),
+        per_outcome_weight=dict(zip(_BRANCHES, weight.ravel().tolist())),
     )

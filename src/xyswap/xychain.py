@@ -197,7 +197,8 @@ def thermal_state(params):
     The exponents are -(E/|J|)/(T/|J|), with E/|J| = +-hypot(eta, gamma)
     and +-sign(J), shifted by the largest.  Where T/|J| underflows to 0
     or max(hypot, 1)/(T/|J|) overflows the T -> 0 limit is returned, and
-    at J = 0 the free pair's I/4.
+    at J = 0 the free pair's I/4.  The state is V diag(p) V^H, one
+    contraction over the spectrum's kets V with the Boltzmann weights p.
     """
     if params.T <= 0.0:
         raise ValueError("thermal_state requires T > 0; use ground_state at T = 0")
@@ -211,11 +212,8 @@ def thermal_state(params):
     with np.errstate(over="ignore"):
         weights = np.exp(exponents - exponents.max())
     weights /= weights.sum()
-    spec = spectrum(params)
-    rho = np.zeros((4, 4), dtype=complex)
-    for w, ket in zip(weights, spec.kets):
-        rho += w * qcore.ket_density(ket)
-    return rho
+    kets = np.array(spectrum(params).kets)
+    return np.einsum("ia,ib,i->ab", kets, kets.conj(), weights)
 
 
 def ground_region(params):

@@ -1,15 +1,16 @@
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from xyswap import qcore, swapnet, teleport
-from xyswap.xychain import ChainParams, thermal_state
+from xyswap.xychain import ChainParams, ground_state, thermal_state
 
 from helpers import random_density, random_ket, random_unitary
 
@@ -395,7 +396,9 @@ def test_spin_flip_lambdas():
 
 
 def _kron_spin_flip_lambdas(rho):
-    """spin_flip_lambdas with sigma_y x sigma_y formed on every call."""
+    """spin_flip_lambdas by its validated route: `validate_density`, then two
+    checked `sqrtm_psd` calls and the SVD, with sigma_y x sigma_y formed on
+    every call."""
     rho = np.asarray(rho, dtype=complex)
     qcore.validate_density(rho, dim=4)
     yy = np.kron(qcore.pauli(2), qcore.pauli(2))
@@ -434,18 +437,98 @@ def test_oracles_match_their_per_call_forms_on_gibbs_states(J, gamma, eta, T):
         _assert_oracles_match_per_call_forms(thermal_state(p))
 
 
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(J=st.floats(0.1, 10.0), gamma=st.floats(0.0, 1.0), eta=st.floats(0.0, 5.0))
+@example(J=1.0, gamma=0.6, eta=0.8)  # the boundary region, a rank-2 mixture
+@example(J=1.0, gamma=0.0, eta=2.0)  # product kets in the field block
+def test_spin_flip_lambdas_match_the_validated_route_on_ground_states(J, gamma, eta):
+    for sj, sg, se in itertools.product((1.0, -1.0), repeat=3):
+        rho = ground_state(ChainParams(J=sj * J, gamma=sg * gamma, eta=se * eta, T=0.0))
+        assert np.array_equal(qcore.spin_flip_lambdas(rho), _kron_spin_flip_lambdas(rho))
+
+
+def _counted(calls, name, fn):
+    """fn, appending name to calls on every call."""
+    def wrapped(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+    return wrapped
+
+
+def test_concurrence_decomposes_each_state_once(monkeypatch):
+    # one eigh of the state (its check and its square root) and one of its
+    # spin flip; the Bell fraction keeps validate_density's eigvalsh
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, _counted(calls, name, getattr(np.linalg, name)))
+    for rho in (thermal_state(ChainParams(J=-1.3, gamma=0.4, eta=0.7, T=0.8)),
+                random_density(np.random.default_rng(43), 4, 2)):
+        calls.clear()
+        qcore.wootters_concurrence(rho)
+        assert calls == ["eigh", "eigh"]
+        calls.clear()
+        qcore.bell_fraction(rho)
+        assert calls == ["eigvalsh"]
+
+
+def _state_with_smallest_eigenvalue(wmin, rotated):
+    w = np.array([0.5, 0.3, 0.2 - wmin, wmin])
+    if not rotated:
+        return np.diag(w).astype(complex)
+    u = random_unitary(np.random.default_rng(59), 4)
+    rho = (u * w) @ u.conj().T
+    return 0.5 * (rho + rho.conj().T)
+
+
+def _with_entry(rho, index, value):
+    rho = rho.copy()
+    rho[index] = value
+    return rho
+
+
+_BOUNDARY_STATES = {
+    **{f"{'rotated' if rotated else 'diagonal'}, eigenvalue {wmin}": _state_with_smallest_eigenvalue(wmin, rotated)
+       for wmin in (-0.5e-9, -2e-9) for rotated in (False, True)},
+    "not Hermitian": _with_entry(_state_with_smallest_eigenvalue(0.0, True), (0, 1), 1e-9),
+    "wrong trace": 1.01 * _state_with_smallest_eigenvalue(0.0, True),
+    "nan entry": _with_entry(_state_with_smallest_eigenvalue(0.0, True), (2, 1), math.nan),
+    "inf entry": _with_entry(_state_with_smallest_eigenvalue(0.0, True), (3, 3), math.inf),
+}
+
+
+def _rejection(fn, rho):
+    """(message with the eigenvalue cut out, that eigenvalue or None), or
+    None where fn accepts rho."""
+    try:
+        fn(rho)
+    except ValueError as exc:
+        m = re.fullmatch(r"(density operator has eigenvalue )(\S+)( < -1e-09)", str(exc))
+        return (m[1] + m[3], float(m[2])) if m else (str(exc), None)
+    return None
+
+
+@pytest.mark.parametrize("case", sorted(_BOUNDARY_STATES))
+def test_concurrence_rejects_what_validate_density_rejects(case):
+    # the concurrence reads its eigenvalue check from eigh of the Hermitian
+    # part, validate_density from eigvalsh: the verdicts and messages agree,
+    # the eigenvalues in them up to rounding
+    rho = _BOUNDARY_STATES[case]
+    want = _rejection(lambda r: qcore.validate_density(r, dim=4), rho)
+    got = _rejection(qcore.wootters_concurrence, rho)
+    assert (got is None) == (want is None)
+    assert (want is None) == (case.endswith("eigenvalue -5e-10"))
+    if want is not None:
+        assert got[0] == want[0]
+        assert (got[1] is None) == (want[1] is None)
+        if want[1] is not None:
+            assert abs(got[1] - want[1]) <= 1e-15
+
+
 def test_oracles_build_no_constants_per_call(monkeypatch):
     # sigma_y x sigma_y and the Bell kets are built once, at import
     calls = []
-
-    def counted(name, fn):
-        def wrapped(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
-        return wrapped
-
-    monkeypatch.setattr(np, "kron", counted("kron", np.kron))
-    monkeypatch.setattr(qcore, "bell_ket", counted("bell_ket", qcore.bell_ket))
+    monkeypatch.setattr(np, "kron", _counted(calls, "kron", np.kron))
+    monkeypatch.setattr(qcore, "bell_ket", _counted(calls, "bell_ket", qcore.bell_ket))
     rho = random_density(np.random.default_rng(41), 4)
     qcore.wootters_concurrence(rho)
     qcore.bell_fraction(rho)

@@ -1,6 +1,7 @@
 """Tests for the exchange-pair model: Hamiltonian, spectrum, Gibbs state,
 ground state and the closed-form pair metrics."""
 
+import itertools
 import math
 import sys
 import warnings
@@ -198,6 +199,31 @@ def test_thermal_state_matches_matrix_exponential():
         want = scipy.linalg.expm(-hamiltonian(p) / p.T)
         want /= np.trace(want).real
         assert_allclose(thermal_state(p), want, atol=1e-10)
+
+
+def _ket_density_sum(p):
+    """The Gibbs state as the sum of the ket densities of the spectrum,
+    each times its Boltzmann weight."""
+    b, t, sign = math.hypot(p.eta, p.gamma), p.T / abs(p.J), math.copysign(1.0, p.J)
+    exponents = -np.array((b, sign, -sign, -b)) / t
+    weights = np.exp(exponents - exponents.max())
+    weights /= weights.sum()
+    return sum(w * qcore.ket_density(ket) for w, ket in zip(weights, spectrum(p).kets))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    J=st.floats(1e-3, 1e3),
+    gamma=st.floats(0.0, 1.0),
+    eta=st.floats(0.0, 1e3),
+    T=st.floats(-3.0, 3.0).map(lambda x: 10.0**x),
+)
+def test_thermal_state_is_the_sum_of_its_ket_densities(J, gamma, eta, T):
+    for sj, sg, se in itertools.product((1.0, -1.0), repeat=3):
+        p = _params(J=sj * J, gamma=sg * gamma, eta=se * eta, T=T)
+        rho = thermal_state(p)
+        assert np.max(np.abs(rho - _ket_density_sum(p))) <= 1e-15
+        assert np.max(np.abs(rho - rho.conj().T)) <= 1e-15
 
 
 def test_thermal_state_is_valid_density():
