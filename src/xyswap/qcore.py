@@ -180,10 +180,14 @@ def _density_checked(rho, dim):
     """`validate_density` up to its eigenvalue check: shape, finite
     entries, Hermitian and unit trace.  Returns the array."""
     rho, _ = _checked(rho, "density operator", 2, dim)
-    if abs(rho - rho.conj().T).max() > 1e-10:
+    # entries near the largest double overflow to inf or nan here, which the
+    # negated comparisons reject
+    with np.errstate(over="ignore", invalid="ignore"):
+        asymmetry = abs(rho - rho.conj().T).max()
+        tr = complex(rho.trace())
+    if not asymmetry <= 1e-10:
         raise ValueError("density operator is not Hermitian")
-    tr = complex(rho.trace())
-    if abs(tr - 1.0) > 1e-10:
+    if not abs(tr - 1.0) <= 1e-10:
         raise ValueError(f"density operator trace {tr!r} != 1")
     return rho
 
@@ -200,9 +204,13 @@ def validate_density(rho, dim=None):
 def validate_projector(proj, dim=None):
     """Raise ValueError unless proj is an orthogonal projector."""
     proj, _ = _checked(proj, "projector", 2, dim)
-    if np.max(np.abs(proj - proj.conj().T)) > 1e-10:
+    # as in `_density_checked`, an overflow fails a check instead of warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        asymmetry = np.max(np.abs(proj - proj.conj().T))
+        excess = np.max(np.abs(proj @ proj - proj))
+    if not asymmetry <= 1e-10:
         raise ValueError("projector is not Hermitian")
-    if np.max(np.abs(proj @ proj - proj)) > 1e-10:
+    if not excess <= 1e-10:
         raise ValueError("projector is not idempotent")
     tr = float(np.trace(proj).real)
     if abs(tr - round(tr)) > 1e-9:
@@ -241,10 +249,14 @@ def measure(rho, proj, subset):
     Applies the projector `proj` (acting on the qubits in `subset`) to the
     state `rho` and returns (probability, post_state) with the post-state
     renormalized and still on the full register.  Branches of probability
-    <= ZERO_PROB_THRESHOLD return (probability, None).
+    <= ZERO_PROB_THRESHOLD return (probability, None).  A `rho` that
+    `validate_density` rejects or a `proj` that `validate_projector` rejects
+    is a ValueError.
     """
-    rho, n = _checked(np.asarray(rho, dtype=complex), "density operator", 2)
-    full = embed_operator(proj, subset, n)
+    rho = np.asarray(rho, dtype=complex)
+    validate_density(rho)
+    validate_projector(proj)
+    full = embed_operator(proj, subset, num_qubits(rho.shape[0]))
     prob = float(np.trace(full @ rho).real)
     if prob <= ZERO_PROB_THRESHOLD:
         return prob, None
@@ -255,8 +267,10 @@ def measure(rho, proj, subset):
 
 def _eigensystem(a):
     """Eigenvalues (ascending) and column eigenvectors of the Hermitian part
-    of a, unchecked."""
-    return np.linalg.eigh(0.5 * (a + a.conj().T))
+    of a, unchecked.  Halving before the sum keeps entries up to the
+    largest double finite."""
+    h = 0.5 * a
+    return np.linalg.eigh(h + h.conj().T)
 
 
 def _psd_root(w, v):
@@ -266,9 +280,13 @@ def _psd_root(w, v):
 
 def hermitian_eigensystem(matrix):
     """Eigenvalues (ascending) and column eigenvectors of the Hermitian part
-    of a square matrix of power-of-two size, by LAPACK (numpy.linalg.eigh)."""
+    of a square matrix of power-of-two size, by LAPACK (numpy.linalg.eigh).
+    An eigenvalue beyond the largest double is a ValueError."""
     a, _ = _checked(np.asarray(matrix, dtype=complex), "matrix", 2)
-    return _eigensystem(a)
+    w, v = _eigensystem(a)
+    if not np.isfinite(w).all():
+        raise ValueError("matrix has an eigenvalue beyond the largest double")
+    return w, v
 
 
 def sqrtm_psd(matrix):

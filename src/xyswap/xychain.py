@@ -30,7 +30,6 @@ __all__ = [
     "PairMetrics",
     "field_terms",
     "scaled_exponentials",
-    "ground_region",
     "hamiltonian",
     "spectrum",
     "thermal_state",
@@ -41,7 +40,12 @@ __all__ = [
     "pair_metrics",
 ]
 
-_CASE_TOL = 1e-12  # tie tolerance when classifying eta^2 + gamma^2 against 1
+_CASE_TOL = 1e-12  # the closed form's tie tolerance on eta^2 + gamma^2 against 1
+# The ground state's tie tolerance on the energies in units of |J|: the levels
+# -hypot(eta, gamma) and -1 tie where the hypot is within 5e-13 of 1, the band
+# above to first order, as eta^2 + gamma^2 - 1 ~ 2 (hypot - 1).  A constant of
+# its own, so the oracle shares no classifier with the closed form.
+_LEVEL_TOL = 5e-13
 _ETA_SQUARE_MAX = math.sqrt(sys.float_info.max)  # the largest double whose square is finite
 
 
@@ -191,23 +195,29 @@ def spectrum(params):
     return SpectrumXY(energies=(big_b, params.J, -params.J, -big_b), kets=(k0, k1, k2, k3))
 
 
+def _unit_levels(params):
+    """The spectrum's energies in units of |J|, in its order:
+    (b, sign J, -sign J, -b) with b = hypot(eta, gamma)."""
+    b, sign = math.hypot(params.eta, params.gamma), math.copysign(1.0, params.J)
+    return b, sign, -sign, -b
+
+
 def thermal_state(params):
     """Gibbs state of the pair at temperature T > 0, in units of |J|.
 
-    The exponents are -(E/|J|)/(T/|J|), with E/|J| = +-hypot(eta, gamma)
-    and +-sign(J), shifted by the largest.  Where T/|J| underflows to 0
-    or max(hypot, 1)/(T/|J|) overflows the T -> 0 limit is returned, and
-    at J = 0 the free pair's I/4.  The state is V diag(p) V^H, one
-    contraction over the spectrum's kets V with the Boltzmann weights p.
+    The exponents are -(E/|J|)/(T/|J|) over the `_unit_levels`, shifted by
+    the largest.  Where T/|J| underflows to 0 or max(hypot, 1)/(T/|J|)
+    overflows the T -> 0 limit is returned, and at J = 0 the free pair's
+    I/4.  The state is V diag(p) V^H, one contraction over the spectrum's
+    kets V with the Boltzmann weights p.
     """
     if params.T <= 0.0:
         raise ValueError("thermal_state requires T > 0; use ground_state at T = 0")
-    b = math.hypot(params.eta, params.gamma)
+    levels = _unit_levels(params)
     t = params.T / abs(params.J) if params.J else 0.0
-    if t == 0.0 or max(b, 1.0) / t == math.inf:
+    if t == 0.0 or max(levels) / t == math.inf:
         return ground_state(params)
-    sign = math.copysign(1.0, params.J)
-    exponents = -np.array((b, sign, -sign, -b)) / t
+    exponents = -np.array(levels) / t
     # where twice max(hypot, 1)/(T/|J|) overflows the smallest weight is exp(-inf) = 0
     with np.errstate(over="ignore"):
         weights = np.exp(exponents - exponents.max())
@@ -216,45 +226,22 @@ def thermal_state(params):
     return np.einsum("ia,ib,i->ab", kets, kets.conj(), weights)
 
 
-def ground_region(params):
-    """Region of the T -> 0 limit and the classifier s = eta^2 + gamma^2.
-
-    'free' at J = 0 (H = 0, fully degenerate); otherwise s against 1 with
-    tie tolerance 1e-12: 'exchange' below (the antisymmetric exchange
-    eigenstate wins), 'boundary' at 1 (it ties with the field-aligned
-    eigenstate) and 'field' above (the field-aligned eigenstate wins).
-    Where eta**2 would overflow (|eta| above ~1.34e154) the region is
-    'field' and s is +inf.
-    """
-    if abs(params.eta) > _ETA_SQUARE_MAX:
-        s = math.inf
-    else:
-        s = params.eta**2 + params.gamma**2
-    if params.J == 0.0:
-        return "free", s
-    if abs(s - 1.0) <= _CASE_TOL:
-        return "boundary", s
-    return ("exchange" if s < 1.0 else "field"), s
-
-
 def ground_state(params):
-    """T -> 0 limit of the thermal state, per `ground_region`.
+    """T -> 0 limit of the thermal state: the equal mixture of the kets
+    whose `_unit_levels` lie within _LEVEL_TOL of the lowest, which can only
+    be the exchange level -1 and the field level -hypot(eta, gamma).
 
-    Exchange region: the antisymmetric exchange eigenstate; boundary: its
-    equal mixture with the field-aligned eigenstate; field region: the
-    field-aligned eigenstate alone.  For J < 0 the symmetric exchange
-    eigenstate takes the singlet's role; the free pair is maximally mixed.
+    That is the exchange eigenstate (antisymmetric for J > 0, symmetric for
+    J < 0) while hypot(eta, gamma) < 1, the field-aligned eigenstate above,
+    and both on the tie band.  The free pair (J = 0) is maximally mixed.
     """
-    region, _ = ground_region(params)
-    if region == "free":
+    if params.J == 0.0:
         return np.eye(4, dtype=complex) / 4.0
-    spec = spectrum(params)
-    exchange = spec.kets[2] if params.J > 0.0 else spec.kets[1]
-    if region == "boundary":
-        return 0.5 * (qcore.ket_density(exchange) + qcore.ket_density(spec.kets[3]))
-    if region == "exchange":
-        return qcore.ket_density(exchange)
-    return qcore.ket_density(spec.kets[3])
+    levels = _unit_levels(params)
+    low = min(levels)
+    kets = spectrum(params).kets
+    rhos = [qcore.ket_density(k) for k, e in zip(kets, levels) if e - low <= _LEVEL_TOL]
+    return rhos[0] if len(rhos) == 1 else 0.5 * (rhos[0] + rhos[1])
 
 
 # The kernels take (e, r) as `kernel_inputs` gives them, as floats, or as
@@ -293,11 +280,13 @@ def spin_flip_roots(e, r):
 def kernel_inputs(params):
     """The kernels' inputs (e, r) at every T >= 0, functions of T / |J|:
     `scaled_exponentials` of 1 / (T / |J|) on `field_terms`, or where
-    beta * max(B, |J|) overflows their T -> 0 limit per `ground_region`:
-    weight 1 on each block whose ground level wins (both at the boundary)
-    under an infinite shift, and r = |gamma| / sqrt(s), 0 where s
-    overflows or underflows (the exchange region, where r weighs nothing).
-    The free pair (J = 0) is maximally mixed."""
+    beta * max(B, |J|) overflows their T -> 0 limit, classified on
+    s = eta^2 + gamma^2 against 1 with tie tolerance _CASE_TOL: weight 1
+    on the field block where s > 1, on the exchange block where s < 1 and
+    on both at the tie, under an infinite shift, and r = |gamma| / sqrt(s),
+    0 where s underflows (the exchange region, where r weighs nothing).
+    s is +inf where eta**2 would overflow (|eta| above ~1.34e154).  The
+    free pair (J = 0) is maximally mixed."""
     if params.J == 0.0:
         return (1.0, 1.0, 1.0, 1.0, 0.0), 0.0
     g = abs(params.gamma)
@@ -305,8 +294,9 @@ def kernel_inputs(params):
     t = params.T / abs(params.J)
     e = scaled_exponentials(math.inf if t == 0.0 else 1.0 / t, b)
     if e is None:
-        region, s = ground_region(params)
-        e = (float(region != "exchange"), 0.0, float(region != "field"), 0.0, math.inf)
+        s = math.inf if abs(params.eta) > _ETA_SQUARE_MAX else params.eta**2 + params.gamma**2
+        tie = abs(s - 1.0) <= _CASE_TOL
+        e = (float(s > 1.0 or tie), 0.0, float(s < 1.0 or tie), 0.0, math.inf)
         r = g / math.sqrt(s) if s > 0.0 else 0.0
     return e, r
 

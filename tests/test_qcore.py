@@ -169,6 +169,66 @@ def test_measure_rejects_bad_subset():
         qcore.measure(np.eye(4, dtype=complex) / 4, np.eye(4, dtype=complex), (0,))
 
 
+@pytest.mark.parametrize("proj", [2.0 * np.eye(2), -np.eye(2), qcore.pauli(1)], ids=["2I", "-I", "sigma_x"])
+def test_measure_rejects_non_projectors(proj):
+    # unchecked, they read as probability 2, as -1 and as an impossible branch
+    with pytest.raises(ValueError, match="projector is not idempotent"):
+        qcore.measure(np.eye(4, dtype=complex) / 4, proj, (0,))
+
+
+def test_measure_rejects_non_density_states():
+    # Hermitian with unit trace, but with eigenvalue -1: unchecked, the
+    # branch reads as probability 2
+    rho = np.diag([2.0, -1.0, 0.0, 0.0]).astype(complex)
+    with pytest.raises(ValueError, match="eigenvalue -1.0"):
+        qcore.measure(rho, np.array([[1, 0], [0, 0]], dtype=complex), (1,))
+
+
+def _without_warnings(fn, *args):
+    """fn(*args), and the messages of the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(*args)
+    return result, [str(w.message) for w in caught]
+
+
+def _raises_without_warnings(fn, arg, match):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match=match):
+            fn(arg)
+    assert [str(w.message) for w in caught] == []
+
+
+def test_huge_off_diagonal_state_is_a_value_error():
+    # Hermitian with unit trace: the Hermitian part sums halves, not the
+    # entries, so its eigenvalues +-9e307 come out finite and the check
+    # reads the negative one
+    rho = np.eye(4, dtype=complex) / 4
+    rho[0, 3] = rho[3, 0] = 9e307
+    for fn in (qcore.wootters_concurrence, qcore.spin_flip_lambdas, qcore.validate_density):
+        _raises_without_warnings(fn, rho, "eigenvalue -9e[+]307")
+
+
+def test_identity_times_the_largest_decade_is_finite_or_a_value_error():
+    big = np.eye(4) * 1e308
+    (w, v), caught = _without_warnings(qcore.hermitian_eigensystem, big)
+    assert caught == []
+    assert np.array_equal(w, np.full(4, 1e308))
+    assert np.array_equal(np.abs(v), np.eye(4))
+    root, caught = _without_warnings(qcore.sqrtm_psd, big)
+    assert caught == []
+    assert_allclose(root, np.eye(4) * 1e154, rtol=1e-15)
+    _raises_without_warnings(qcore.validate_density, big, "trace")
+    _raises_without_warnings(qcore.validate_projector, big, "idempotent")
+
+
+def test_eigenvalue_beyond_the_largest_double_is_a_value_error():
+    # every entry is finite, the top eigenvalue 4e308 is not
+    for fn in (qcore.hermitian_eigensystem, qcore.sqrtm_psd):
+        _raises_without_warnings(fn, np.full((4, 4), 1e308), "beyond the largest double")
+
+
 def test_hermitian_eigensystem_random():
     rng = np.random.default_rng(17)
     for dim in (2, 4, 8):

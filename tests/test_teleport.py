@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import random_ket
+from helpers import random_density, random_ket
 from xyswap import qcore
 from xyswap.teleport import (
     TeleportConfig,
@@ -134,6 +134,37 @@ def test_conditioned_state_validation():
         with pytest.raises(ValueError):
             conditioned_state(resource, _E0, j, k)
     assert conditioned_state(resource, _E0, np.int64(1), np.int64(2))[0] == pytest.approx(0.125)
+
+
+def test_branch_data_matches_generic_measurement():
+    # the generic route: conditioned_state measures the input and the channel
+    # through qcore.measure and traces out all but the receiver.  Random
+    # channels of every rank, and |000> at mu = 0, where each k = 2 branch
+    # is impossible
+    rng = np.random.default_rng(89)
+    e000 = np.zeros(8, dtype=complex)
+    e000[0] = 1.0
+    cases = [(random_density(rng, 8, rank), 0.37) for rank in range(1, 9)]
+    cases.append((qcore.ket_density(e000), 0.0))
+    kets, _ = qcore.bloch_grid()
+    impossible = 0
+    for qubit in ("B", "C"):
+        for resource, mu in cases:
+            cfg = TeleportConfig(mu=mu, measure_qubit=qubit)
+            q, vals, _ = _branch_data(resource[None], mu, qubit)
+            for n, ket in enumerate(kets):
+                for j in range(4):
+                    for k in (1, 2):
+                        want_q, rho_c = conditioned_state(resource, ket, j, k, cfg)
+                        assert abs(q[n, 0, j, k - 1] - want_q) <= 1e-13
+                        impossible += rho_c is None
+                        for c in range(4):
+                            phi = qcore.pauli(c) @ ket
+                            want = 0.0 if rho_c is None else want_q * (phi.conj() @ rho_c @ phi).real
+                            assert abs(vals[c, n, 0, j, k - 1] - want) <= 1e-13
+    # per qubit, |000>'s 24 branches at k = 2, and at k = 1 the two Bell
+    # outcomes orthogonal to the input |0> or |1> on A1 with A2 in |0>
+    assert impossible == 2 * (24 + 4)
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from xyswap import qcore
+from xyswap import qcore, xychain
 from xyswap.teleport import evaluate, fidelity_closed_form
 from xyswap.xychain import (
     ChainParams,
-    ground_region,
     ground_state,
     hamiltonian,
+    kernel_inputs,
     pair_metrics,
     scaled_exponentials,
     spectrum,
@@ -315,6 +315,18 @@ def test_ground_state_free_pair():
     assert_allclose(rho, np.eye(4) / 4.0, atol=1e-15)
 
 
+def test_ground_state_does_not_read_the_closed_forms_classifier(monkeypatch):
+    # s = 0.36 + 0.6724 is 0.0324 above 1: widening the closed form's tie
+    # tolerance past that moves its T -> 0 limit onto the boundary, but the
+    # ground state ties levels on the energies alone and stays the field ket
+    p = _params(J=1.0, gamma=0.6, eta=0.82, T=0.0)
+    monkeypatch.setattr(xychain, "_CASE_TOL", 0.05)
+    assert kernel_inputs(p)[0][:4] == (1.0, 0.0, 1.0, 0.0)
+    rho = ground_state(p)
+    assert np.array_equal(rho, qcore.ket_density(spectrum(p).kets[3]))
+    assert np.linalg.matrix_rank(rho) == 1
+
+
 def test_ground_state_is_cold_limit_of_gibbs():
     rng = np.random.default_rng(31)
     for _ in range(15):
@@ -512,7 +524,7 @@ def test_ground_limits_at_overflowing_fields():
     for eta in (1e155, -1e155, 1e300, -1e300):
         for J, gamma in ((1.0, 0.0), (-2.0, 0.5), (0.5, -1.0)):
             p = _params(J, gamma, eta, 0.0)
-            assert ground_region(p)[0] == "field"
+            assert kernel_inputs(p)[0][:4] == (1.0, 0.0, 0.0, 0.0)  # the field block alone
             m = pair_metrics(p)
             f = fidelity_closed_form(p)
             rho = ground_state(p)
@@ -525,7 +537,7 @@ def test_ground_limits_at_overflowing_fields():
             assert np.trace(rho).real == pytest.approx(1.0, abs=1e-15)
     # the largest eta whose square is finite keeps the squared classifier
     eta = math.sqrt(sys.float_info.max)
-    assert ground_region(_params(1.0, 0.5, eta, 0.0)) == ("field", eta**2 + 0.25)
+    assert kernel_inputs(_params(1.0, 0.5, eta, 0.0))[1] == 0.5 / math.sqrt(eta**2 + 0.25)
 
 
 def _eight_exponential_hyperbolics(beta, b):
@@ -674,6 +686,7 @@ def test_closed_forms_tend_to_their_zero_temperature_values(J, gamma, eta, depth
     # away from the boundary the thermal kernels, once beta |B - |J|| >= 40,
     # give what their T -> 0 inputs give
     p = _params(J, gamma, eta, 0.0)
-    assume(abs(ground_region(p)[1] - 1.0) >= 1e-3)
-    warm = _params(J, gamma, eta, abs(math.hypot(eta, gamma) * abs(J) - abs(J)) / depth)
+    b = math.hypot(eta, gamma)
+    assume(abs(b * b - 1.0) >= 1e-3)
+    warm = _params(J, gamma, eta, abs(b * abs(J) - abs(J)) / depth)
     assert_allclose(_closed_form_values(warm), _closed_form_values(p), rtol=0.0, atol=1e-14)
