@@ -28,7 +28,6 @@ field or the ceiling.
 """
 
 import functools
-import logging
 import math
 import sys
 from typing import NamedTuple
@@ -51,8 +50,6 @@ __all__ = [
     "t3_asymptote",
     "sweep",
 ]
-
-logger = logging.getLogger(__name__)
 
 _T_FLOOR_OVER_J = 1e-6
 _SCAN_STEP_OVER_J = 0.05  # the scan step up to a ceiling of 5
@@ -308,11 +305,20 @@ def _solve(kind, gamma, etas, t_his, j):
     ]
 
 
+def _warn(message, *args):
+    """Log a warning to the `xyswap.critical` logger.  `logging` is loaded
+    here, on the first warning, not when the package is imported; handlers
+    attached to the logger by that name receive every warning."""
+    import logging
+
+    logging.getLogger(__name__).warning(message, *args)
+
+
 def _root(kind, gamma, eta, t_hi, f_hi, crossings, bracket, j):
     """One eta's result from its scan and bisected bracket, with the T = 0
     fallback and the warnings, which print absolute temperatures (times j)."""
     if f_hi > 0.0:
-        logger.warning(
+        _warn(
             "kind %d margin still positive at scan ceiling T = %.6g (gamma=%g, eta=%g)",
             kind, t_hi * j, gamma, eta,
         )
@@ -322,14 +328,14 @@ def _root(kind, gamma, eta, t_hi, f_hi, crossings, bracket, j):
         m0 = _margin(kind, *kernel_inputs(ChainParams(J=1.0, gamma=gamma, eta=eta, T=0.0)))
         if m0 <= 0.0:
             return CriticalResult(kind, gamma, eta, 0.0, (0.0, 0.0), True)
-        logger.warning(
+        _warn(
             "kind %d margin positive at T = 0 but no crossing found above %.1e (gamma=%g, eta=%g)",
             kind, _T_FLOOR_OVER_J * j, gamma, eta,
         )
         return CriticalResult(kind, gamma, eta, math.nan, None, False)
 
     if crossings > 1:
-        logger.warning(
+        _warn(
             "kind %d margin crosses zero %d times (gamma=%g, eta=%g); keeping the largest root",
             kind, crossings, gamma, eta,
         )

@@ -232,7 +232,9 @@ def embed_operator(op, subset, n):
 
 
 def partial_trace(rho, keep):
-    """Reduced state on the qubits in `keep`, returned in the given order."""
+    """Reduced state on the qubits in `keep`, returned in the given order.
+    A reduced state whose sums overflow (finite entries near the largest
+    double) is a ValueError."""
     rho, n = _checked(np.asarray(rho, dtype=complex), "density operator", 2)
     keep = _check_qubits(keep, n, "keep")
     rest = [q for q in range(n) if q not in keep]
@@ -240,7 +242,10 @@ def partial_trace(rho, keep):
     axes = perm + [n + p for p in perm]
     t = rho.reshape((2,) * (2 * n)).transpose(axes)
     dk, dr = 2 ** len(keep), 2 ** len(rest)
-    return np.einsum("arbr->ab", t.reshape(dk, dr, dk, dr))
+    reduced = np.einsum("arbr->ab", t.reshape(dk, dr, dk, dr))
+    if not np.isfinite(reduced).all():  # einsum overflows without a warning
+        raise ValueError("reduced state has a non-finite entry")
+    return reduced
 
 
 def measure(rho, proj, subset):

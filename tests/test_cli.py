@@ -4,6 +4,7 @@ codes and output determinism."""
 import json
 import logging
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -385,11 +386,50 @@ def test_console_script_deterministic_bytes():
     assert first.stdout.count(b"\n") == 3
 
 
-def test_module_invocation():
-    proc = subprocess.run(
-        [sys.executable, "-m", "xyswap", "metrics", "--T", "1", "--gamma", "0.5"],
-        capture_output=True,
-    )
-    assert proc.returncode == 0
-    payload = json.loads(proc.stdout)
-    assert payload["gamma"] == 0.5
+_NO_CROSSING_JSON = b"""{
+  "kind": 2,
+  "gamma": 0.003,
+  "eta": 1.0,
+  "t_over_j": null,
+  "converged": false
+}
+"""
+
+
+@pytest.mark.parametrize("argv, code, stdout, stderr", [
+    (["metrics", "--J", "1", "--gamma", "0.5", "--eta", "0.4", "--T", "0.8", "--format", "csv"], 0,
+     (DATA / "readme_metrics.csv").read_bytes(), b""),
+    (["table1"], 0, (DATA / "table1_default.csv").read_bytes(), b""),
+    (["fig1"], 0, (DATA / "fig1_default.csv").read_bytes(), b""),
+    (["fig1", "--out", "PATH"], 0, b"", b""),
+    (["critical", "--kind", "2", "--gamma", "0.003", "--eta", "1"], 2, _NO_CROSSING_JSON,
+     b"kind 2 margin positive at T = 0 but no crossing found above 1.0e-06 (gamma=0.003, eta=1)\n"),
+    (["table1", "--precision", "99"], 1, b"", b"xyswap: error: --precision must lie in 0..17\n"),
+], ids=["metrics", "table1", "fig1", "fig1-out", "critical-exit-2", "precision-exit-1"])
+def test_module_invocation(tmp_path, argv, code, stdout, stderr):
+    # a real `python -m xyswap` process, which ends through `main`'s flush
+    # and hard exit: every byte written reaches the pipes and the --out file.
+    # Without PYTHONUNBUFFERED the pipes buffer, so an unflushed write is lost.
+    out_path = tmp_path / "fig1.csv"
+    argv = [str(out_path) if arg == "PATH" else arg for arg in argv]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.run([sys.executable, "-m", "xyswap", *argv], capture_output=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, stderr)
+    if "--out" in argv:
+        assert out_path.read_bytes() == (DATA / "fig1_default.csv").read_bytes()
+
+
+def test_importing_the_package_does_not_load_logging():
+    # the solver loads `logging` on its first warning, not at import
+    probe = "import sys; before = set(sys.modules); import xyswap; print('logging' in set(sys.modules) - before)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, check=True)
+    assert proc.stdout == b"False\n"
+
+
+def test_profiled_module_invocation_still_prints_its_stats():
+    # under a profile function `main` raises SystemExit instead of ending
+    # the process, so cProfile gets to print its report
+    proc = subprocess.run([sys.executable, "-m", "cProfile", "-m", "xyswap", "table1"], capture_output=True)
+    table = (DATA / "table1_default.csv").read_bytes()
+    assert proc.stdout.startswith(table)
+    assert b"function calls" in proc.stdout[len(table):]

@@ -229,6 +229,13 @@ def test_eigenvalue_beyond_the_largest_double_is_a_value_error():
         _raises_without_warnings(fn, np.full((4, 4), 1e308), "beyond the largest double")
 
 
+@pytest.mark.parametrize("rho", [np.full((4, 4), 1e308), np.diag([1e308] * 4 + [-1e308] * 4)],
+                         ids=["full-4x4", "signed-diagonal-8x8"])
+def test_partial_trace_that_overflows_is_a_value_error(rho):
+    # every entry is finite, the traced-out sums of the reduced state are not
+    _raises_without_warnings(lambda r: qcore.partial_trace(r, (0,)), rho, "non-finite")
+
+
 def test_hermitian_eigensystem_random():
     rng = np.random.default_rng(17)
     for dim in (2, 4, 8):
