@@ -54,8 +54,9 @@ _SIGMA = np.array(
     dtype=complex,
 )
 
-# sigma_y x sigma_y, the spin flip of two qubits
-_YY = np.kron(_SIGMA[2], _SIGMA[2])
+# sigma_y x sigma_y, the spin flip of two qubits, is antidiag(-1, 1, 1, -1):
+# row i of Y M is this sign times row 3 - i of M
+_YY_SIGNS = np.array([[-1.0], [1.0], [1.0], [-1.0]])
 
 
 def _check_index(i, count, what):
@@ -278,11 +279,6 @@ def _eigensystem(a):
     return np.linalg.eigh(h + h.conj().T)
 
 
-def _psd_root(w, v):
-    """V sqrt(W) V^H from an eigensystem, eigenvalues clipped at zero."""
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-
-
 def hermitian_eigensystem(matrix):
     """Eigenvalues (ascending) and column eigenvectors of the Hermitian part
     of a square matrix of power-of-two size, by LAPACK (numpy.linalg.eigh).
@@ -300,30 +296,33 @@ def sqrtm_psd(matrix):
     count as zero, lower ones are a ValueError."""
     w, v = hermitian_eigensystem(matrix)
     _check_spectrum(w, "matrix")
-    return _psd_root(w, v)
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
 
 
 def spin_flip_lambdas(rho):
     """Square roots of the spin-flip spectrum of a two-qubit state,
     descending.
 
-    These are the eigenvalue square roots of rho (sigma_y x sigma_y)
-    rho* (sigma_y x sigma_y), computed as the singular values of
-    K = sqrt(rho_flipped) sqrt(rho).  Working on K instead of K^H K keeps
-    roots near zero at full absolute precision; squaring first would bury
-    anything below sqrt(machine epsilon) in roundoff.
+    These are the eigenvalue square roots of rho Y rho* Y, Y = sigma_y x
+    sigma_y, computed as the singular values of sqrt(Y rho* Y) sqrt(rho).
+    Working on that product instead of its square keeps roots near zero at
+    full absolute precision; squaring first would bury anything below
+    sqrt(machine epsilon) in roundoff.
 
     One `eigh` per state: rho gets `validate_density`'s checks, with the
-    eigenvalue check read from the eigensystem of its Hermitian part that
-    sqrt(rho) is built from; rho_flipped, finite and unitarily similar to
-    rho*, goes straight to the unchecked square root.
+    eigenvalue check read from the eigensystem V W V^H of its Hermitian
+    part, and that eigensystem gives the product too.  With R = V sqrt(W)
+    (eigenvalues clipped at zero), sqrt(rho) = R V^H; Y is real, symmetric
+    and unitary, so sqrt(Y rho* Y) = Y sqrt(rho)* Y = Y V* R^T Y, and the
+    product is Y V* (R^T Y R) V^H.  Unitary factors leave singular values
+    alone, which leaves R^T (Y R); Y = antidiag(-1, 1, 1, -1), so Y R is R
+    with its rows reversed and signed.
     """
     rho = _density_checked(np.asarray(rho, dtype=complex), 4)
     w, v = _eigensystem(rho)
     _check_spectrum(w, "density operator")
-    flipped = _YY @ rho.conj() @ _YY
-    k = _psd_root(*_eigensystem(flipped)) @ _psd_root(w, v)
-    return np.linalg.svd(k, compute_uv=False)
+    r = v * np.sqrt(np.clip(w, 0.0, None))
+    return np.linalg.svd(r.T @ (_YY_SIGNS * r[::-1]), compute_uv=False)
 
 
 def wootters_concurrence(rho):

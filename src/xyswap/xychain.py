@@ -71,6 +71,10 @@ class ChainParams:
             value = getattr(self, name)
             if not is_finite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+            # stored as a Python float: a numpy scalar would carry numpy's
+            # arithmetic (overflow warnings, float32 rounding, int64
+            # wrap-around) into the scalar closed forms
+            object.__setattr__(self, name, float(value))
         if not -1.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [-1, 1], got {self.gamma!r}")
         if self.T < 0.0:

@@ -59,6 +59,45 @@ def test_params_validation():
         _params(eta=math.nan)
 
 
+# numpy scalars as parameters, at points where numpy scalar arithmetic
+# overflows or wraps: max(levels) / T at a subnormal T (float32's below
+# 1e-38), the field-block energies near the largest double, int64 squares
+_SCALAR_POINTS = [
+    dict(J=np.float64(1.0), gamma=0.5, eta=1.0, T=np.float64(1e-310)),
+    dict(J=1.0, gamma=0.3, eta=np.float64(1.7e308), T=0.5),
+    dict(J=np.float64(-2.0), gamma=np.float64(0.3), eta=np.float64(-0.7), T=np.float64(0.5)),
+    dict(J=np.float32(1.5), gamma=np.float32(-0.25), eta=np.float32(0.5), T=np.float32(1e-40)),
+    dict(J=np.float32(-1.5), gamma=np.float32(0.75), eta=np.float32(3e38), T=np.float32(0.3)),
+    dict(J=np.int64(3), gamma=np.int64(1), eta=np.int64(-2), T=np.int64(0)),
+    dict(J=np.int64(-2), gamma=0.5, eta=np.int64(10**18), T=np.int64(1)),
+]
+
+
+def _public_results(p):
+    """Every public result on p, as comparable values."""
+    spec = spectrum(p)
+    results = [spec.energies, [k.tobytes() for k in spec.kets], ground_state(p).tobytes(),
+               pair_metrics(p), fidelity_closed_form(p), evaluate(p)]
+    if p.T > 0.0:
+        results.append(thermal_state(p).tobytes())
+    return results
+
+
+@pytest.mark.parametrize("point", range(len(_SCALAR_POINTS)))
+def test_numpy_scalar_params_match_python_floats_without_warning(point):
+    values = _SCALAR_POINTS[point]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        p = ChainParams(**values)
+        got = _public_results(p)
+    assert [str(w.message) for w in caught] == []
+    assert all(type(getattr(p, name)) is float for name in values)
+    # against the Python floats the scalars hold (float32 rounded them first)
+    floats = ChainParams(**{name: float(value) for name, value in values.items()})
+    assert p == floats
+    assert got == _public_results(floats)
+
+
 # ---------------------------------------------------------------------------
 # Hamiltonian
 
