@@ -317,11 +317,18 @@ def spin_flip_lambdas(rho):
     product is Y V* (R^T Y R) V^H.  Unitary factors leave singular values
     alone, which leaves R^T (Y R); Y = antidiag(-1, 1, 1, -1), so Y R is R
     with its rows reversed and signed.
+
+    W in R is taken as the Rayleigh quotients v_i^H rho v_i, equal to eigh's
+    eigenvalues in exact arithmetic.  eigh returns a zero eigenvalue as
+    anything up to ~eps, and its square root would put ~1e-8 into the
+    roots of a (near-)pure state; the quotients keep it at the size of the
+    rounding in rho's own entries.
     """
     rho = _density_checked(np.asarray(rho, dtype=complex), 4)
     w, v = _eigensystem(rho)
     _check_spectrum(w, "density operator")
-    r = v * np.sqrt(np.clip(w, 0.0, None))
+    q = (v.conj() * (rho @ v)).sum(0).real
+    r = v * np.sqrt(np.clip(q, 0.0, None))
     return np.linalg.svd(r.T @ (_YY_SIGNS * r[::-1]), compute_uv=False)
 
 

@@ -481,20 +481,6 @@ def _vdot_bell_fraction(rho):
     return float(max(np.vdot(qcore.bell_ket(i), rho @ qcore.bell_ket(i)).real for i in range(4)))
 
 
-# Where 0 < |gamma| < 1e-3, a Gibbs or ground state can hold eigenvalues at
-# round-off (eigh's error, up to ~4 epsilon) whose square roots put errors up
-# to sqrt(4 epsilon) ~ 3e-8 into the spin-flip roots of any route through
-# the eigensystem.  Seeded sweeps measured up to 1.1e-8 between the two
-# routes and 1.9e-9 between the concurrence and the closed form there; from
-# |gamma| = 1e-3 up, and at gamma = 0, 4e-13 and 2e-14.
-_ROUNDOFF_ROOTS = 1e-7
-
-
-def _tol(gamma, tol):
-    """tol, or _ROUNDOFF_ROOTS where 0 < |gamma| < 1e-3."""
-    return tol if gamma == 0.0 or abs(gamma) >= 1e-3 else _ROUNDOFF_ROOTS
-
-
 def _assert_oracles_match_per_call_forms(rho, lambda_tol):
     got, want = qcore.spin_flip_lambdas(rho), _kron_spin_flip_lambdas(rho)
     assert np.abs(got - want).max() <= lambda_tol
@@ -514,54 +500,64 @@ def test_oracles_match_their_per_call_forms_on_random_states(seed, rank):
     eta=st.floats(0.0, 5.0),
     T=st.floats(-3.0, 2.0).map(lambda x: 10.0**x),
 )
-@example(J=4.487, gamma=4.49e-8, eta=1.317, T=0.00168)  # roots 5.6e-9 apart
 def test_oracles_match_their_per_call_forms_on_gibbs_states(J, gamma, eta, T):
     for sj, sg, se in itertools.product((1.0, -1.0), repeat=3):
         p = ChainParams(J=sj * J, gamma=sg * gamma, eta=se * eta, T=T)
-        _assert_oracles_match_per_call_forms(thermal_state(p), _tol(gamma, 1e-11))
+        rho = thermal_state(p)
+        _assert_oracles_match_per_call_forms(rho, 1e-11)
+        assert abs(qcore.wootters_concurrence(rho) - pair_metrics(p).concurrence) <= 1e-13
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(J=st.floats(0.1, 10.0), gamma=st.floats(0.0, 1.0), eta=st.floats(0.0, 5.0))
 @example(J=1.0, gamma=0.6, eta=0.8)  # the boundary region, a rank-2 mixture
 @example(J=1.0, gamma=0.0, eta=2.0)  # product kets in the field block
-@example(J=9.413, gamma=4.49e-8, eta=2.326)  # roots 1.1e-8 apart
 def test_spin_flip_lambdas_match_the_validated_route_on_ground_states(J, gamma, eta):
     for sj, sg, se in itertools.product((1.0, -1.0), repeat=3):
-        rho = ground_state(ChainParams(J=sj * J, gamma=sg * gamma, eta=se * eta, T=0.0))
-        assert np.abs(qcore.spin_flip_lambdas(rho) - _kron_spin_flip_lambdas(rho)).max() <= _tol(gamma, 1e-11)
+        p = ChainParams(J=sj * J, gamma=sg * gamma, eta=se * eta, T=0.0)
+        rho = ground_state(p)
+        assert np.abs(qcore.spin_flip_lambdas(rho) - _kron_spin_flip_lambdas(rho)).max() <= 1e-11
+        assert abs(qcore.wootters_concurrence(rho) - pair_metrics(p).concurrence) <= 1e-13
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
-@given(
-    J=st.floats(0.1, 10.0),
-    gamma=st.floats(0.0, 1.0),
-    eta=st.floats(0.0, 5.0),
-    T=st.one_of(st.just(0.0), st.floats(-3.0, 2.0).map(lambda x: 10.0**x)),
-)
-@example(J=1.0, gamma=0.6, eta=0.8, T=0.0)  # the boundary region, a rank-2 mixture
-@example(J=4.587, gamma=1.03e-8, eta=0.919, T=0.238)  # 1.1e-9 from the closed form
-def test_concurrence_matches_pair_metrics_on_gibbs_and_ground_states(J, gamma, eta, T):
-    for sj, sg, se in itertools.product((1.0, -1.0), repeat=3):
-        p = ChainParams(J=sj * J, gamma=sg * gamma, eta=se * eta, T=T)
-        rho = ground_state(p) if T == 0.0 else thermal_state(p)
-        assert abs(qcore.wootters_concurrence(rho) - pair_metrics(p).concurrence) <= _tol(gamma, 1e-13)
+_YY_MP = ((0, 0, 0, -1), (0, 0, 1, 0), (0, 1, 0, 0), (-1, 0, 0, 0))
+
+
+def _mp_spin_flip_lambdas(rho):
+    """sqrt(eig(rho Y rho* Y)) at 50 digits, the stored entries taken as
+    exact, descending."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        r, yy = mpmath.matrix(rho.tolist()), mpmath.matrix(_YY_MP)
+        eig = mpmath.eig(r * (yy * r.conjugate() * yy), left=False, right=False)
+        return sorted((float(mpmath.sqrt(max(mpmath.re(e), 0))) for e in eig), reverse=True)
 
 
 def test_spin_flip_lambdas_match_a_50_digit_reference():
-    import mpmath
-
-    yy = mpmath.matrix([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]])
     rng = np.random.default_rng(61)
     for rank in (1, 2, 3, 4):
         for _ in range(12):
             rho = random_density(rng, 4, rank)
-            # sqrt(eig(rho Y rho* Y)) of the stored entries, taken as exact
-            with mpmath.workdps(50):
-                r = mpmath.matrix(rho.tolist())
-                eig = mpmath.eig(r * (yy * r.conjugate() * yy), left=False, right=False)
-                want = sorted((float(mpmath.sqrt(max(mpmath.re(e), 0))) for e in eig), reverse=True)
-            assert np.abs(qcore.spin_flip_lambdas(rho) - want).max() <= 1e-14
+            assert np.abs(qcore.spin_flip_lambdas(rho) - _mp_spin_flip_lambdas(rho)).max() <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "J, gamma, eta, T",
+    [
+        (9.413, 4.49e-8, 2.326, 0.0),  # a pure ground state, concurrence ~2e-8
+        (4.487, 4.49e-8, 1.317, 0.00168),  # a Gibbs state pure to round-off
+    ],
+)
+def test_spin_flip_lambdas_match_a_50_digit_reference_on_near_pure_pair_states(J, gamma, eta, T):
+    # eigh gives the state's zero eigenvalues as ~eps, whose square roots
+    # would put ~1e-8 into the roots; the Rayleigh quotients keep them at
+    # the size of the state's own round-off
+    for sj, sg, se in itertools.product((1.0, -1.0), repeat=3):
+        p = ChainParams(J=sj * J, gamma=sg * gamma, eta=se * eta, T=T)
+        rho = ground_state(p) if T == 0.0 else thermal_state(p)
+        assert np.abs(qcore.spin_flip_lambdas(rho) - _mp_spin_flip_lambdas(rho)).max() <= 1e-20
+        assert abs(qcore.wootters_concurrence(rho) - pair_metrics(p).concurrence) <= 1e-20
 
 
 def _counted(calls, name, fn):
