@@ -262,7 +262,13 @@ def measure(rho, proj, subset):
     rho = np.asarray(rho, dtype=complex)
     validate_density(rho)
     validate_projector(proj)
-    full = embed_operator(proj, subset, num_qubits(rho.shape[0]))
+    return _measure(rho, embed_operator(proj, subset, num_qubits(rho.shape[0])))
+
+
+def _measure(rho, full):
+    """`measure`'s branch for a projector `full` already on the whole
+    register, unchecked: for states and projectors built from checked
+    parts."""
     prob = float(np.trace(full @ rho).real)
     if prob <= ZERO_PROB_THRESHOLD:
         return prob, None

@@ -101,8 +101,11 @@ def conditioned_state(resource, input_ket, j, k, cfg=None):
     bells, singles = measurement_family(cfg)
     # qubits (A1, A2, B, C): the assisting one is measured, the other kept
     assist, keep = (2, 3) if cfg.measure_qubit == "B" else (3, 2)
+    # the product of the checked channel and ket is a state, and the Bell and
+    # assisting projectors are fixed, so neither is validated again
     total = qcore.tensor(qcore.ket_density(input_ket), resource)
-    q, post = qcore.measure(total, qcore.tensor(bells[j], singles[k - 1]), (0, 1, assist))
+    proj = qcore.embed_operator(qcore.tensor(bells[j], singles[k - 1]), (0, 1, assist), 4)
+    q, post = qcore._measure(total, proj)
     return q, None if post is None else qcore.partial_trace(post, (keep,))
 
 

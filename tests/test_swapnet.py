@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from helpers import brute_embed, qubit_swap_matrix, random_density, random_unitary, three_tangle
@@ -71,20 +73,62 @@ def test_probability_matches_projector_expectation():
         assert result.probabilities[i] == pytest.approx(want, abs=1e-12)
 
 
-def test_contraction_matches_generic_measurement():
+def _pair_state(spec):
+    """A seeded random_density state of the given rank, or the product
+    basis state |ab> for ("basis", index)."""
+    kind, *args = spec
+    if kind == "basis":
+        ket = np.zeros(4, dtype=complex)
+        ket[args[0]] = 1.0
+        return qcore.ket_density(ket)
+    seed, rank = args
+    return random_density(np.random.default_rng(seed), 4, rank)
+
+
+_PAIR_SPECS = st.one_of(
+    st.tuples(st.just("random"), st.integers(0, 2**32 - 1), st.integers(1, 4)),
+    st.tuples(st.just("basis"), st.integers(0, 3)),
+)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(specs=st.lists(_PAIR_SPECS, min_size=3, max_size=3, unique=True))
+@example(specs=[("basis", 0), ("basis", 3), ("basis", 1)])  # six outcomes impossible
+@example(specs=[("basis", 2), ("random", 7, 1), ("random", 8, 4)])
+def test_contraction_matches_generic_measurement(specs):
     # the generic route: embed the GHZ projector on (A1, A2, A3) in the
-    # 64-dimensional product state, measure, and trace the A qubits out
-    rng = np.random.default_rng(97)
-    for _ in range(3):
-        chis = [random_density(rng, 4) for _ in range(3)]
-        product = np.kron(np.kron(chis[0], chis[1]), chis[2])
-        result = swap_triple(*chis)
-        for i in range(8):
-            proj = qcore.ket_density(qcore.ghz_ket(i))
-            prob, post = qcore.measure(product, proj, (0, 2, 4))
-            assert abs(result.probabilities[i] - prob) < 1e-13
+    # 64-dimensional product state, measure, and trace the A qubits out;
+    # three different pairs, basis states among them making some outcomes
+    # impossible
+    chis = [_pair_state(spec) for spec in specs]
+    product = np.kron(np.kron(chis[0], chis[1]), chis[2])
+    result = swap_triple(*chis)
+    for i in range(8):
+        prob, post = qcore.measure(product, qcore.ket_density(qcore.ghz_ket(i)), (0, 2, 4))
+        assert abs(result.probabilities[i] - prob) <= 1e-13
+        if prob > 1e-12:
             want = qcore.partial_trace(post, (1, 3, 5))
-            assert np.max(np.abs(result.post_states[i] - want)) < 1e-13
+            assert np.max(np.abs(result.post_states[i] - want)) <= 1e-13
+        if prob < 1e-15:
+            assert result.post_states[i] is None
+
+
+def test_swap_computes_no_einsum_path(monkeypatch):
+    # the outcome states come from fixed index tables: no contraction path,
+    # neither built by the caller nor re-checked inside numpy.einsum
+    calls, einsum_path = [], np.einsum_path
+
+    def counted(*args, **kwargs):
+        calls.append("einsum_path")
+        return einsum_path(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum_path", counted)
+    monkeypatch.setitem(np.einsum.__wrapped__.__globals__, "einsum_path", counted)
+    rng = np.random.default_rng(83)
+    swap_triple(*(random_density(rng, 4) for _ in range(3)))
+    swap_all(ChainParams(J=1.0, gamma=0.4, eta=0.7, T=0.6))
+    swap_all(ChainParams(J=-1.0, gamma=0.3, eta=1.2, T=0.0), random_unitary(rng, 4))
+    assert calls == []
 
 
 def test_mixture_is_probability_weighted_average():
