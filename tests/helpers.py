@@ -1,7 +1,8 @@
-"""Shared test utilities: random states, independent embeddings, the
-three-qubit tangle used to pin swap outputs, and the margins through the
-public closed forms with the point-by-point critical-temperature solver
-on them that the array scan is checked against."""
+"""Shared test utilities: random states, a call counter, independent
+embeddings, the three-qubit tangle used to pin swap outputs, and the
+margins through the public closed forms with the point-by-point
+critical-temperature solver on them that the array scan is checked
+against."""
 
 import math
 import sys
@@ -29,6 +30,14 @@ def random_unitary(rng, dim):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def counted(calls, name, fn):
+    """fn, appending name to calls on every call."""
+    def wrapped(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+    return wrapped
 
 
 def brute_embed(op, subset, n):

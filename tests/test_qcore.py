@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 from xyswap import qcore, swapnet, teleport
 from xyswap.xychain import ChainParams, ground_state, pair_metrics, thermal_state
 
-from helpers import random_density, random_ket, random_unitary
+from helpers import counted, random_density, random_ket, random_unitary
 
 
 def test_pauli_matrices():
@@ -560,20 +560,12 @@ def test_spin_flip_lambdas_match_a_50_digit_reference_on_near_pure_pair_states(J
         assert abs(qcore.wootters_concurrence(rho) - pair_metrics(p).concurrence) <= 1e-20
 
 
-def _counted(calls, name, fn):
-    """fn, appending name to calls on every call."""
-    def wrapped(*args, **kwargs):
-        calls.append(name)
-        return fn(*args, **kwargs)
-    return wrapped
-
-
 def test_concurrence_decomposes_each_state_once(monkeypatch):
     # one eigh of the state, for its check and the spin-flip product; the
     # Bell fraction keeps validate_density's eigvalsh
     calls = []
     for name in ("eigh", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, name, _counted(calls, name, getattr(np.linalg, name)))
+        monkeypatch.setattr(np.linalg, name, counted(calls, name, getattr(np.linalg, name)))
     for rho in (thermal_state(ChainParams(J=-1.3, gamma=0.4, eta=0.7, T=0.8)),
                 random_density(np.random.default_rng(43), 4, 2)):
         calls.clear()
@@ -640,8 +632,8 @@ def test_concurrence_rejects_what_validate_density_rejects(case):
 def test_oracles_build_no_constants_per_call(monkeypatch):
     # the spin flip's signs and the Bell kets are built once, at import
     calls = []
-    monkeypatch.setattr(np, "kron", _counted(calls, "kron", np.kron))
-    monkeypatch.setattr(qcore, "bell_ket", _counted(calls, "bell_ket", qcore.bell_ket))
+    monkeypatch.setattr(np, "kron", counted(calls, "kron", np.kron))
+    monkeypatch.setattr(qcore, "bell_ket", counted(calls, "bell_ket", qcore.bell_ket))
     rho = random_density(np.random.default_rng(41), 4)
     qcore.wootters_concurrence(rho)
     qcore.bell_fraction(rho)

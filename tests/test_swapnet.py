@@ -6,10 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import brute_embed, qubit_swap_matrix, random_density, random_unitary, three_tangle
+from helpers import brute_embed, counted, qubit_swap_matrix, random_density, random_unitary, three_tangle
 from xyswap import qcore
 from xyswap.swapnet import SwapResult, swap_all, swap_triple
-from xyswap.xychain import ChainParams, thermal_state
+from xyswap.teleport import TeleportConfig, _positive_frame, evaluate
+from xyswap.xychain import ChainParams, ground_state, thermal_state
 
 
 def _purity(rho):
@@ -116,14 +117,10 @@ def test_contraction_matches_generic_measurement(specs):
 def test_swap_computes_no_einsum_path(monkeypatch):
     # the outcome states come from fixed index tables: no contraction path,
     # neither built by the caller nor re-checked inside numpy.einsum
-    calls, einsum_path = [], np.einsum_path
-
-    def counted(*args, **kwargs):
-        calls.append("einsum_path")
-        return einsum_path(*args, **kwargs)
-
-    monkeypatch.setattr(np, "einsum_path", counted)
-    monkeypatch.setitem(np.einsum.__wrapped__.__globals__, "einsum_path", counted)
+    calls = []
+    einsum_path = counted(calls, "einsum_path", np.einsum_path)
+    monkeypatch.setattr(np, "einsum_path", einsum_path)
+    monkeypatch.setitem(np.einsum.__wrapped__.__globals__, "einsum_path", einsum_path)
     rng = np.random.default_rng(83)
     swap_triple(*(random_density(rng, 4) for _ in range(3)))
     swap_all(ChainParams(J=1.0, gamma=0.4, eta=0.7, T=0.6))
@@ -213,3 +210,70 @@ def test_swap_all_ground_pair_is_pure_per_branch():
     result = swap_all(ChainParams(J=1.0, gamma=0.3, eta=0.4, T=0.0))
     for state in result.post_states:
         assert _purity(state) == pytest.approx(1.0, abs=1e-12)
+
+
+_PAIR = ChainParams(J=1.0, gamma=0.0, eta=0.0, T=1e6)
+
+
+@pytest.mark.parametrize("frame", [
+    np.diag([2.0, 0.0, 0.0, 0.0]),  # swaps as |00><00| unless refused
+    np.full((4, 4), np.nan),
+    np.eye(3),
+    np.eye(4)[:, :, None],
+    random_unitary(np.random.default_rng(89), 4) + 1e-6,
+], ids=["projector", "nan", "3x3", "4x4x1", "perturbed unitary"])
+def test_swap_all_refuses_frames_that_are_not_4x4_unitaries(frame):
+    with pytest.raises(ValueError, match="frame"):
+        swap_all(_PAIR, frame)
+
+
+def test_swap_all_takes_the_sign_sector_and_random_unitary_frames():
+    rng = np.random.default_rng(97)
+    points = [ChainParams(J=J, gamma=gamma, eta=0.8, T=0.4) for J, gamma in ((-1.0, 0.3), (1.0, -0.3), (-1.0, -0.3))]
+    cases = [(p, _positive_frame(p)) for p in points]
+    cases += [(ChainParams(J=0.7, gamma=0.5, eta=1.3, T=0.9), random_unitary(rng, 4)) for _ in range(10)]
+    for p, frame in cases:
+        chi = frame @ thermal_state(p) @ frame.conj().T
+        result, want = swap_all(p, frame), swap_triple(chi, chi, chi)
+        assert_allclose(result.probabilities, want.probabilities, atol=1e-14)
+
+
+def _signed(magnitude):
+    return st.tuples(st.sampled_from((-1.0, 1.0)), magnitude).map(lambda sm: sm[0] * sm[1])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    J=_signed(st.floats(0.0, 1e300)),
+    gamma=st.floats(-1.0, 1.0),
+    eta=_signed(st.floats(0.0, 1e300)),
+    T=st.one_of(st.just(0.0), st.floats(5e-324, 1e300)),
+)
+@example(J=-1.0, gamma=-0.5, eta=0.8, T=0.4)
+@example(J=1e-300, gamma=1e-12, eta=-1e300, T=5e-324)
+@example(J=-4.0, gamma=0.6, eta=0.8, T=0.0)  # hypot(eta, gamma) = 1: a tie
+def test_the_pair_states_swap_all_trusts_are_density_operators(J, gamma, eta, T):
+    # swap_all checks only the caller's frame: the model's own pair state
+    # and the swap of it must be valid on the whole parameter domain
+    p = ChainParams(J=J, gamma=gamma, eta=eta, T=T)
+    qcore.validate_density(thermal_state(p) if T > 0.0 else ground_state(p), dim=4)
+    result = swap_all(p, _positive_frame(p))
+    assert result.probabilities.min() >= -1e-15
+    assert abs(result.probabilities.sum() - 1.0) <= 1e-12
+    for state in result.post_states:
+        if state is not None:
+            qcore.validate_density(state, dim=8)
+
+
+def test_swap_all_and_evaluate_call_no_lapack(monkeypatch):
+    # the pair state is the package's own, so no eigenvalue check runs on it
+    calls = []
+    frame = random_unitary(np.random.default_rng(101), 4)
+    for name in ("eigvalsh", "eigh", "eigvals", "svd"):
+        monkeypatch.setattr(np.linalg, name, counted(calls, name, getattr(np.linalg, name)))
+    swap_all(ChainParams(J=1.0, gamma=0.4, eta=0.7, T=0.6))
+    swap_all(ChainParams(J=1.0, gamma=0.4, eta=0.7, T=0.0))
+    swap_all(ChainParams(J=1.0, gamma=0.4, eta=0.7, T=0.6), frame)
+    for qubit in ("B", "C"):
+        evaluate(ChainParams(J=-1.3, gamma=-0.4, eta=0.9, T=0.5), TeleportConfig(measure_qubit=qubit))
+    assert calls == []
