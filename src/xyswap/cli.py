@@ -38,6 +38,15 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
+    def _parse_optional(self, arg_string):
+        # argparse's negative-number pattern has no exponent, so it reads
+        # "-1e-3" as an option; no xyswap option looks like a number
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
 
 def _format_cell(value, kind, precision):
     if kind == "int":

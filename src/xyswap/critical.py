@@ -15,8 +15,9 @@ temperatures that the warnings print.  All etas of a sweep are solved on
 one array path of numpy passes of bounded size: each eta's scan is one
 row of at most 102 temperatures from its ceiling, in steps of 0.05 up to
 a ceiling of 5 and of a hundredth of the ceiling above; the rows are
-split into the fewest passes of at most 41 whole rows, of sizes within
-one row of each other, and the crossing rules run along the rows; then
+split into the fewest passes of at most 17 whole rows, of sizes within
+one row of each other, small enough that freeing a pass's temporaries
+does not trim the heap, and the crossing rules run along the rows; then
 the bisection steps all brackets in lockstep, in passes of 256 lanes
 that keep one lane layout until a bracket closes.  The passes run the
 numpy kernels of `pair_metrics` and `fidelity_closed_form` on arrays, so
@@ -55,10 +56,10 @@ _T_FLOOR_OVER_J = 1e-6
 _SCAN_STEP_OVER_J = 0.05  # the scan step up to a ceiling of 5
 _SCAN_STEPS = 100  # steps from a ceiling above 5 down to 0
 _BRACKET_WIDTH_OVER_J = 1e-8
-# most eta scans per scan pass, ~4.2k lanes: it bounds the scan's memory, and
-# a sweep's rows are split into the fewest passes under it, of sizes that
-# differ by one row at most (the fig1 grid's 81 rows in 2 passes)
-_SCAN_ROWS = 41
+# most eta scans per scan pass, ~1.7k lanes (the fig1 grid's 81 rows in 5
+# passes, of sizes that differ by one row at most): with 20 to 41 rows, freeing
+# a pass's temporaries let glibc trim the heap, and the next pass faulted it back
+_SCAN_ROWS = 17
 _BISECT_LANES = 256  # midpoints per bisection pass
 _LANES = np.arange(_BISECT_LANES)
 
@@ -157,18 +158,19 @@ class _Sweep:
         return _scan_margins(self.kind, self.lane_b, self.lane_r, t)
 
 
-def _scan(sweep, t_his, f_hi, crossings, first):
+def _scan(sweep, t_his, f_hi, crossings, lo, hi):
     """Scan every eta down from its ceiling in `t_his`: keep its margin at
     the ceiling in `f_hi`, count its crossings below and, unless that
     margin is positive (no root, no bisection), keep its first upward
-    bracket (T, previous T) in `first`.  An eta's scan is one row:
-    its ceiling, then T - s, T - 2 s, ... (repeated subtraction), the first
-    point at or below the floor clamped to it and the rest of the row
-    padded with the floor, which adds no crossing.  The step s is 0.05 up
-    to a ceiling of 5 and t_hi / _SCAN_STEPS above it, so a row of
-    _SCAN_STEPS + 2 points always reaches the floor.  The rows are split
-    into the fewest passes of at most _SCAN_ROWS whole rows, whose sizes
-    differ by one row at most."""
+    bracket (T, previous T) in `lo` and `hi`, left NaN where there is none.
+    An eta's scan is one row: its ceiling, then T - s, T - 2 s, ...
+    (repeated subtraction), the first point at or below the floor clamped
+    to it and the rest of the row padded with the floor, which adds no
+    crossing.  The step s is 0.05 up to a ceiling of 5 and t_hi /
+    _SCAN_STEPS above it, so a row of _SCAN_STEPS + 2 points always
+    reaches the floor.  The rows are split into the fewest passes of at
+    most _SCAN_ROWS whole rows, sizes that differ by one row at most and
+    keep glibc from trimming the heap after every pass."""
     n = t_his.size
     passes = -(-n // _SCAN_ROWS)
     for k in range(passes):
@@ -188,8 +190,7 @@ def _scan(sweep, t_his, f_hi, crossings, first):
         f_hi[part], crossings[part] = values[:, 0], cross.sum(axis=1)
         found = (upward.any(axis=1) & (values[:, 0] <= 0.0)).nonzero()[0]
         col = upward[found].argmax(axis=1)
-        for i, lo, hi in zip(part[found].tolist(), t[found, col + 1].tolist(), t[found, col].tolist()):
-            first[i] = (lo, hi)
+        lo[part[found]], hi[part[found]] = t[found, col + 1], t[found, col]
 
 
 @functools.cache
@@ -215,34 +216,33 @@ def _tree(depth):
     return size, np.array([s for s, _ in heap]), lower, upper, turns
 
 
-def _open(lo, hi, mid, width):
-    """Which brackets (lo, hi) with midpoints `mid` are wider than `width`
-    and not yet two neighbouring doubles, which lie over 1e-8 apart above
-    2**26."""
+def _open(lo, hi, width):
+    """Which brackets (lo, hi) are wider than `width` and not yet two
+    neighbouring doubles, which lie over 1e-8 apart above 2**26."""
+    mid = 0.5 * (lo + hi)
     return (hi - lo > width) & (mid != lo) & (mid != hi)
 
 
-def _bisect(sweep, first, width):
-    """Each bracket of `first` (None where there is none) narrowed by
-    mid = 0.5 * (lo + hi) and the sign of the margin there, as a scalar
-    bisection narrows it, until `_open` closes it, all etas in lockstep.
-    A pass takes up to _BISECT_LANES open brackets and the midpoints of the
-    next `depth` steps of each, depth as large as the pass allows, each
-    formed along its own path with the scalar arithmetic.  Each bracket
-    then follows the signs down its tree by indexing only, once, and stays
-    where it is closed, so it reads the midpoints the scalar loop reads.
-    The open brackets are taken in index order; the others wait."""
-    lo_all = np.array([math.nan if b is None else b[0] for b in first])
-    hi_all = np.array([math.nan if b is None else b[1] for b in first])
-    open_ = _open(lo_all, hi_all, 0.5 * (lo_all + hi_all), width).nonzero()[0]
+def _bisect(sweep, lo_all, hi_all, width):
+    """The brackets (lo_all, hi_all), NaN where there is none, narrowed in
+    place by mid = 0.5 * (lo + hi) and the sign of the margin there, as a
+    scalar bisection narrows them, until `_open` closes them, all etas in
+    lockstep, and returned.  A pass takes up to _BISECT_LANES open brackets
+    and the midpoints of the next `depth` steps of each, depth as large as
+    the pass allows, each formed along its own path with the scalar
+    arithmetic.  Each bracket then follows the signs down its tree by
+    indexing only, once, and stays where it is closed, so it reads the
+    midpoints the scalar loop reads, given a margin positive at lo and not
+    at hi, as the scan hands brackets on.  The open brackets are taken in
+    index order; the others wait."""
+    open_ = _open(lo_all, hi_all, width).nonzero()[0]
     while open_.size:
         held = open_[:_BISECT_LANES]
         lo, hi, still = _passes(sweep, held, lo_all[held], hi_all[held], width)
         lo_all[held], hi_all[held] = lo, hi
         # a closed bracket stays closed, and a waiting one open
         open_ = np.concatenate((held[still], open_[held.size:]))
-    brackets = zip(lo_all.tolist(), hi_all.tolist())
-    return [None if b is None else bracket for b, bracket in zip(first, brackets)]
+    return lo_all, hi_all
 
 
 def _passes(sweep, held, lo, hi, width):
@@ -253,6 +253,10 @@ def _passes(sweep, held, lo, hi, width):
     size, slot, lower, upper, turns = _tree((_BISECT_LANES // count + 1).bit_length() - 1)
     pick = np.minimum(slot, count - 1)  # padding slots repeat the last bracket
     rows, roots = held[pick], _LANES[:count * size:size]
+    # below width * 2**51 (2**24.4 J at 1e-8 J) adjacent doubles lie under
+    # width / 2 apart, so the midpoint of a bracket wider than `width` lies
+    # strictly inside it, and the width alone tells an open bracket
+    fine = hi.max() < width * 2.0**51
     while True:
         t_lo, t_hi = lo[pick], hi[pick]
         for to_upper, to_lower in turns:
@@ -270,9 +274,10 @@ def _passes(sweep, held, lo, hi, width):
         lane = roots
         for _ in turns:
             lane = after[lane]
-        lo = np.where(wide & positive, t, t_lo)[lane]
-        hi = np.where(wide & ~positive, t, t_hi)[lane]
-        still = _open(lo, hi, 0.5 * (lo + hi), width)
+        up = wide & positive
+        lo = np.where(up, t, t_lo)[lane]
+        hi = np.where(wide ^ up, t, t_hi)[lane]
+        still = hi - lo > width if fine else _open(lo, hi, width)
         if not still.all():
             return lo, hi, still
 
@@ -284,8 +289,8 @@ def _solve(kind, gamma, etas, t_his, j):
     and sweep, and of bounded number for any ceiling.
 
     First the descending scans, which start at the ceilings: one row of at
-    most 102 points per eta, in the fewest passes of at most 41 whole rows
-    (~4.2k lanes), balanced to within one row, with the crossing rules
+    most 102 points per eta, in the fewest passes of at most 17 whole rows
+    (~1.7k lanes), balanced to within one row, with the crossing rules
     applied along each row (`_scan`).  Then the bisection of the first
     upward bracket of every eta whose margin is not positive at its
     ceiling, all in lockstep on the array margins (`_bisect`).  The array
@@ -295,13 +300,14 @@ def _solve(kind, gamma, etas, t_his, j):
     same `_margin` on the kernels' T = 0 input.
     """
     sweep = _Sweep(kind, gamma, etas)
-    f_hi, crossings, first = np.empty(len(etas)), np.zeros(len(etas), dtype=np.intp), [None] * len(etas)
+    f_hi, crossings = np.empty(len(etas)), np.zeros(len(etas), dtype=np.intp)
+    lo, hi = np.full(len(etas), math.nan), np.full(len(etas), math.nan)
     with np.errstate(all="ignore"):
-        _scan(sweep, np.array(t_his), f_hi, crossings, first)
-        brackets = _bisect(sweep, first, _BRACKET_WIDTH_OVER_J)
+        _scan(sweep, np.array(t_his), f_hi, crossings, lo, hi)
+        _bisect(sweep, lo, hi, _BRACKET_WIDTH_OVER_J)
     return [
-        _root(kind, gamma, eta, t_hi, f, n, bracket, j)
-        for eta, t_hi, f, n, bracket in zip(etas, t_his, f_hi.tolist(), crossings.tolist(), brackets)
+        _root(kind, gamma, *args, j)
+        for args in zip(etas, t_his, f_hi.tolist(), crossings.tolist(), lo.tolist(), hi.tolist())
     ]
 
 
@@ -314,9 +320,10 @@ def _warn(message, *args):
     logging.getLogger(__name__).warning(message, *args)
 
 
-def _root(kind, gamma, eta, t_hi, f_hi, crossings, bracket, j):
-    """One eta's result from its scan and bisected bracket, with the T = 0
-    fallback and the warnings, which print absolute temperatures (times j)."""
+def _root(kind, gamma, eta, t_hi, f_hi, crossings, lo, hi, j):
+    """One eta's result from its scan and bisected bracket (lo, hi), NaN
+    where there is none, with the T = 0 fallback and the warnings, which
+    print absolute temperatures (times j)."""
     if f_hi > 0.0:
         _warn(
             "kind %d margin still positive at scan ceiling T = %.6g (gamma=%g, eta=%g)",
@@ -324,7 +331,7 @@ def _root(kind, gamma, eta, t_hi, f_hi, crossings, bracket, j):
         )
         return CriticalResult(kind, gamma, eta, math.nan, None, False)
 
-    if bracket is None:
+    if math.isnan(lo):
         m0 = _margin(kind, *kernel_inputs(ChainParams(J=1.0, gamma=gamma, eta=eta, T=0.0)))
         if m0 <= 0.0:
             return CriticalResult(kind, gamma, eta, 0.0, (0.0, 0.0), True)
@@ -340,8 +347,7 @@ def _root(kind, gamma, eta, t_hi, f_hi, crossings, bracket, j):
             kind, crossings, gamma, eta,
         )
 
-    lo, hi = bracket
-    return CriticalResult(kind, gamma, eta, 0.5 * (lo + hi), bracket, True)
+    return CriticalResult(kind, gamma, eta, 0.5 * (lo + hi), (lo, hi), True)
 
 
 def _ceiling(kind, gamma, eta, j, t_hi):

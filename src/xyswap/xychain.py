@@ -88,10 +88,11 @@ class ChainParams:
 
 @dataclass(frozen=True)
 class SpectrumXY:
-    """Eigenpairs ordered (B, J, -J, -B) with B = hypot(eta, gamma) |J|."""
+    """Eigenpairs ordered (B, J, -J, -B) with B = hypot(eta, gamma) |J|;
+    the kets are the rows of a 4x4 complex array."""
 
     energies: tuple
-    kets: tuple
+    kets: np.ndarray
 
 
 class PairMetrics(NamedTuple):
@@ -142,23 +143,16 @@ def hamiltonian(params):
     )
 
 
-def _basis_ket(index):
-    ket = np.zeros(4, dtype=complex)
-    ket[index] = 1.0
-    return ket
-
-
-def _field_block_ket(a, b):
-    """Unit ket along a|00> + b|11>.  A pair whose norm is too small to
-    invert (complex division multiplies by 1/norm) is first scaled up by an
-    exact power of two."""
+def _field_block_pair(a, b):
+    """(a, b) and the norm to divide them by for a unit ket along
+    a|00> + b|11>.  A pair whose norm is too small to invert (complex
+    division multiplies by 1/norm) is first scaled up by an exact power of
+    two."""
     norm = math.hypot(a, b)
     if 1.0 / norm == math.inf:
         a, b = a * 2.0**600, b * 2.0**600
         norm = math.hypot(a, b)
-    ket = np.array([a, 0.0, 0.0, b], dtype=complex)
-    ket /= norm
-    return ket
+    return a, b, norm
 
 
 def spectrum(params):
@@ -170,7 +164,8 @@ def spectrum(params):
     B -+ b_field (their product equals (gamma J)^2).  The kets depend only
     on B, b_field and gamma J in units of |J|: hypot(eta, gamma),
     eta sign(J) and gamma sign(J), scaled by an exact power of two where
-    gamma^2 underflows or hypot + |eta| overflows.  The energies are absolute.
+    gamma^2 underflows or hypot + |eta| overflows.  The energies are
+    absolute; the kets are the rows of one 4x4 complex array.
     """
     sign = math.copysign(1.0, params.J) if params.J else 0.0  # J = 0: product kets
     field, bm, gj = math.hypot(params.eta, params.gamma), params.eta * sign, params.gamma * sign
@@ -181,10 +176,8 @@ def spectrum(params):
         field, bm, gj = (math.ldexp(x, shift) for x in (field, bm, gj))
     if gj == 0.0:
         # product-state block: |00>, |11> with energies +-b_field
-        if bm >= 0.0:
-            k0, k3 = _basis_ket(0), _basis_ket(3)
-        else:
-            k0, k3 = _basis_ket(3), _basis_ket(0)
+        up, down = (1.0, 0.0, 1.0), (0.0, 1.0, 1.0)
+        (a0, b0, n0), (a3, b3, n3) = (up, down) if bm >= 0.0 else (down, up)
     else:
         if bm >= 0.0:
             bplus = field + bm
@@ -192,11 +185,10 @@ def spectrum(params):
         else:
             bminus = field - bm
             bplus = gj * gj / bminus
-        k0 = _field_block_ket(bplus, gj)
-        k3 = _field_block_ket(bminus, -gj)
-    k1 = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / math.sqrt(2.0)
-    k2 = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
-    return SpectrumXY(energies=(big_b, params.J, -params.J, -big_b), kets=(k0, k1, k2, k3))
+        (a0, b0, n0), (a3, b3, n3) = _field_block_pair(bplus, gj), _field_block_pair(bminus, -gj)
+    kets = np.array([(a0, 0, 0, b0), (0, 1, 1, 0), (0, 1, -1, 0), (a3, 0, 0, b3)], dtype=complex)
+    kets /= np.array([n0, math.sqrt(2.0), math.sqrt(2.0), n3])[:, None]
+    return SpectrumXY(energies=(big_b, params.J, -params.J, -big_b), kets=kets)
 
 
 def _unit_levels(params):
@@ -226,7 +218,7 @@ def thermal_state(params):
     with np.errstate(over="ignore"):
         weights = np.exp(exponents - exponents.max())
     weights /= weights.sum()
-    kets = np.array(spectrum(params).kets)
+    kets = spectrum(params).kets
     return np.einsum("ia,ib,i->ab", kets, kets.conj(), weights)
 
 
@@ -272,9 +264,8 @@ def spin_flip_roots(e, r):
     u = 0.5 * (r * (eb_hi - eb_lo))
     root = np.hypot(np.exp(-shift), u)
     c, d = (root + u) / z, (root - u) / z
-    # c >= d as u >= 0: order the exchange pair, then merge the two pairs
+    # c >= d as u >= 0, and a >= b as beta >= 0: merge the two ordered pairs
     a, b = ej_hi / z, ej_lo / z
-    a, b = _larger(a, b), _smaller(a, b)
     s0, p = _larger(a, c), _smaller(a, c)
     q, s3 = _larger(b, d), _smaller(b, d)
     s1, s2 = _larger(p, q), _smaller(p, q)

@@ -172,7 +172,14 @@ def reference_critical(kind, gamma, eta, J=1.0, t_hi=None, step=None):
             % (kind, crossings, gamma, eta)
         )
 
-    lo, hi = first
+    lo, hi = scalar_bisection(f, *first)
+    return result(0.5 * (lo + hi), (lo, hi), True)
+
+
+def scalar_bisection(f, lo, hi):
+    """The bracket (lo, hi) narrowed by mid = 0.5 * (lo + hi) and the sign
+    of f there, one midpoint at a time, until it is at most the solver's
+    width wide or two neighbouring doubles."""
     width = critical._BRACKET_WIDTH_OVER_J
     while hi - lo > width:
         mid = 0.5 * (lo + hi)
@@ -182,4 +189,4 @@ def reference_critical(kind, gamma, eta, J=1.0, t_hi=None, step=None):
             lo = mid
         else:
             hi = mid
-    return result(0.5 * (lo + hi), (lo, hi), True)
+    return lo, hi

@@ -365,6 +365,16 @@ def test_usage_errors_exit_one(capsys):
         assert err != ""
 
 
+@pytest.mark.parametrize("flag, value", [("--eta", "-1e-3"), ("--J", "-2.5e-1"), ("--eta", "-1E+2")])
+def test_negative_values_in_exponent_form_are_values(capsys, flag, value):
+    # argparse's own negative-number pattern has no exponent, so it took
+    # these values for options and exited 1 with "expected one argument"
+    argv = ["metrics", "--T", "0.5", "--format", "csv"]
+    spaced = _run(capsys, argv + [flag, value])
+    assert spaced == _run(capsys, argv + [f"{flag}={value}"])
+    assert spaced[0] == 0 and spaced[2] == ""
+
+
 def test_domain_errors_exit_one_and_name_the_flag(capsys):
     code, out, err = _run(capsys, ["metrics", "--T", "1", "--gamma", "1.5"])
     assert code == 1

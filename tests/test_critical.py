@@ -7,10 +7,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import public_margin, reference_critical
+from helpers import public_margin, reference_critical, scalar_bisection
 from xyswap import critical, qcore
 from xyswap.critical import (
     CriticalResult,
@@ -374,25 +374,26 @@ def _margin_passes(monkeypatch):
     return passes
 
 
-@pytest.mark.parametrize("kind, fig1_passes, tail_passes", [(1, 14, 7), (2, 14, 7), (3, 14, 6)])
+@pytest.mark.parametrize("kind, fig1_passes, tail_passes", [(1, 17, 7), (2, 17, 7), (3, 17, 6)])
 def test_margin_pass_budget(monkeypatch, kind, fig1_passes, tail_passes):
     # numpy margin passes per sweep: the scan rows of 102 points, split into
-    # the fewest passes of at most 41 rows (2 for the fig1 grid's 81), then
+    # the fewest passes of at most 17 rows (5 for the fig1 grid's 81), then
     # the lockstep bisection in passes of 256 lanes; the fixed cost of a
     # pass sets a root's cost.  The few pass lengths keep numpy's cache of
-    # freed buffers under 1 KB small
+    # freed buffers under 1 KB small, and scan passes of at most 17 rows
+    # keep glibc from trimming the heap after each pass
     passes = _margin_passes(monkeypatch)
     for etas, budget in ((_FIG1_ETAS, fig1_passes), (_TAIL_ETAS, tail_passes)):
         passes.clear()
         sweep(kind, 0.5, etas)
         lengths = [args[-1].size for args in passes]
         assert len(lengths) == budget
-        assert all(length == 256 or (length % 102 == 0 and length <= 41 * 102) for length in lengths)
-    # more rows than one pass holds: 300 rows in 8 passes of 37 or 38 rows
+        assert all(length == 256 or (length % 102 == 0 and length <= 17 * 102) for length in lengths)
+    # more rows than one pass holds: 300 rows in 18 passes of 16 or 17 rows
     passes.clear()
     sweep(kind, 0.5, list(np.linspace(0.0, 2.0, 300)))
     rows = [args[-1].size // 102 for args in passes if args[-1].size % 102 == 0]
-    assert len(rows) == 8 and sum(rows) == 300
+    assert len(rows) == 18 and sum(rows) == 300
     assert max(rows) - min(rows) <= 1
 
 
@@ -448,13 +449,8 @@ def test_positive_ceiling_ends_the_scan_after_its_first_pass(monkeypatch):
     _assert_same_roots([got], messages, [reference_critical(1, 0.5, 1e305, t_hi=5e4)])
 
 
-def test_bisection_closes_brackets_above_two_to_the_26_j():
-    # the kind-2 root at eta = 1e10 lies near 4.1e8 J, where adjacent
-    # doubles are 6e-8 J apart: the 1e-8 J width is never reached, and the
-    # bracket closes at two neighbouring doubles instead
-    sweep_ = critical._Sweep(2, 0.5, [1e10])
-    lo, hi = 4.0e8, 4.2e8
-    assert (sweep_.margins(np.zeros(2, dtype=np.intp), np.array([lo, hi])) > 0.0).tolist() == [True, False]
+def _counted_margins(sweep_):
+    """sweep_, its margin passes counted, failing past 64 passes."""
     passes, margins = [], sweep_.margins
 
     def counted(rows, t):
@@ -463,19 +459,81 @@ def test_bisection_closes_brackets_above_two_to_the_26_j():
         return margins(rows, t)
 
     sweep_.margins = counted
+    return sweep_
+
+
+def test_bisection_closes_brackets_above_two_to_the_26_j():
+    # the kind-2 root at eta = 1e10 lies near 4.1e8 J, where adjacent
+    # doubles are 6e-8 J apart: the 1e-8 J width is never reached, and the
+    # bracket closes at two neighbouring doubles instead
+    sweep_ = critical._Sweep(2, 0.5, [1e10])
+    lo, hi = 4.0e8, 4.2e8
+    assert (sweep_.margins(np.zeros(2, dtype=np.intp), np.array([lo, hi])) > 0.0).tolist() == [True, False]
+    _counted_margins(sweep_)
     start = time.perf_counter()
-    (got,) = critical._bisect(sweep_, [(lo, hi)], critical._BRACKET_WIDTH_OVER_J)
+    got = critical._bisect(sweep_, np.array([lo]), np.array([hi]), critical._BRACKET_WIDTH_OVER_J)
     assert time.perf_counter() - start < 1.0
     # the scalar loop of tests/helpers.py on the same bracket
-    while hi - lo > critical._BRACKET_WIDTH_OVER_J and 0.5 * (lo + hi) not in (lo, hi):
-        mid = 0.5 * (lo + hi)
-        if public_margin(2, ChainParams(J=1.0, gamma=0.5, eta=1e10, T=mid)) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    assert got == (lo, hi)
+    lo, hi = scalar_bisection(
+        lambda t: public_margin(2, ChainParams(J=1.0, gamma=0.5, eta=1e10, T=t)), lo, hi
+    )
+    assert [a.tolist() for a in got] == [[lo], [hi]]
     assert 4.0e8 < lo < hi <= lo + 2 * math.ulp(lo)
     assert hi - lo > critical._BRACKET_WIDTH_OVER_J
+
+
+def _bracket(lo, width):
+    """(lo, lo + width), or with width None (lo, the next double above it)."""
+    return lo, math.nextafter(lo, math.inf) if width is None else lo + width
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(
+    kind=st.sampled_from([1, 2, 3]),
+    gamma=st.floats(0.0, 1.0),
+    brackets=st.lists(
+        st.tuples(
+            st.floats(-3.0, 10.0).map(lambda x: 10.0**x),  # eta
+            # lo, and often near 2**26 J, where adjacent doubles grow past 1e-8 J
+            st.one_of(st.floats(-6.0, 10.0).map(lambda x: 10.0**x), st.floats(2.0**23, 2.0**28)),
+            st.one_of(st.floats(math.log10(2e-8), 3.0).map(lambda x: 10.0**x), st.none()),  # width
+        ).map(lambda b: (b[0], *_bracket(b[1], b[2])))
+        | st.floats(0.0, 200.0).map(lambda eta: (eta, math.nan, math.nan)),  # no bracket
+        min_size=1,
+        max_size=12,
+    ).flatmap(
+        # and one bracket of neighbouring doubles
+        lambda brackets: st.permutations(brackets + [(1e10, *_bracket(4.1e8, None))])
+    ),
+)
+@example(kind=2, gamma=0.5, brackets=[(1e10, 7e7, 7e7 + 1.0), (1.0, 0.5, 0.6)])
+def test_bisection_gives_the_scalar_loops_brackets(kind, gamma, brackets):
+    # every bracket of a lockstep bisection, below and above 2**24 J (where
+    # the width alone tells an open bracket) and at neighbouring doubles,
+    # closes where the scalar loop of tests/helpers.py closes it; NaN
+    # stands for no bracket and stays.  The margin is the kind's inside
+    # each bracket and, as at every bracket the scan hands on, positive at
+    # its lo and not at its hi
+    etas, lo, hi = (np.array(column) for column in zip(*brackets))
+    sweep_ = _counted_margins(critical._Sweep(kind, gamma, etas.tolist()))
+    margins = sweep_.margins
+
+    def straddling(rows, t):
+        return np.where(t == lo[rows], 1.0, np.where(t == hi[rows], -1.0, margins(rows, t)))
+
+    sweep_.margins = straddling
+    with np.errstate(all="ignore"):
+        got = critical._bisect(sweep_, lo.copy(), hi.copy(), critical._BRACKET_WIDTH_OVER_J)
+
+    def scalar(eta, a, b):
+        def f(t):
+            return 1.0 if t == a else -1.0 if t == b else public_margin(
+                kind, ChainParams(J=1.0, gamma=gamma, eta=eta, T=t)
+            )
+        return (a, b) if math.isnan(a) else scalar_bisection(f, a, b)
+
+    want = [scalar(*bracket) for bracket in brackets]
+    assert [repr(b) for b in zip(*(a.tolist() for a in got))] == [repr(b) for b in want]
 
 
 def test_scan_memory_stays_bounded_for_a_high_ceiling():
