@@ -13,12 +13,15 @@ with the average taken over the six axis states, a spherical 3-design
 and so exact for this integrand of degree 2 in the Bloch vector.  Each
 branch state is one tensor contraction of the channel with the Bell bra
 (against the input) and the assisting bra on both sides; measuring C
-instead of B only permutes the channel axes they meet.  The Pauli
-table is static: entry (i, j, k) is the exhaustive-search optimum for the
-resource that outcome i ideally produces.  Swapping three ground-pair
-singlets under GHZ outcome i leaves the sign-flipped partner basis state
-ghz_ket(7 - i), so the search runs against that ket (at mu = pi/4, where
-the optimum is strict).
+instead of B only permutes the channel axes they meet.  Only the
+assisting bra depends on mu: it is the Bell x design bras, built once with
+the correction quadratic forms <phi| s_c . s_c |phi>, times a real 2x2
+rotation, and the corrected overlaps are one batched product of the branch
+states with those forms.  The Pauli table is static: entry (i, j, k) is
+the exhaustive-search optimum for the resource that outcome i ideally
+produces.  Swapping three ground-pair singlets under GHZ outcome i leaves
+the sign-flipped partner basis state ghz_ket(7 - i), so the search runs
+against that ket (at mu = pi/4, where the optimum is strict).
 
 The same average has a closed form c1 + c2 cos(mu) sin(mu) whose
 coefficients are ratios of scaled hyperbolics; the simulated and closed
@@ -72,9 +75,8 @@ class TeleportResult:
 
 
 def _basis_kets(mu):
-    k1 = np.array([math.cos(mu), math.sin(mu)], dtype=complex)
-    k2 = np.array([-math.sin(mu), math.cos(mu)], dtype=complex)
-    return k1, k2
+    c, s = math.cos(mu), math.sin(mu)
+    return np.array([[c, s], [-s, c]])
 
 
 def measurement_family(cfg):
@@ -117,6 +119,21 @@ _BELLS = np.stack([qcore.bell_ket(j).reshape(2, 2) for j in range(4)])
 _PAULIS = np.stack([qcore.pauli(c) for c in range(4)])
 
 
+@functools.cache
+def _design_factors():
+    """The read-out's factors free of the channel and mu, built on first
+    use and read-only: the Bell x design bras w[n, j, 1, a, 1], the
+    correction quadratic forms S[n, xy, c] = conj(s_c phi_n)_x (s_c phi_n)_y
+    and the design weights."""
+    kets, wts = qcore.bloch_grid()
+    w = np.einsum("jxa,nx->nja", _BELLS.conj(), kets)[:, :, None, :, None]
+    sigma_phi = np.einsum("cxy,ny->cnx", _PAULIS, kets)
+    forms = np.einsum("cnx,cny->nxyc", sigma_phi.conj(), sigma_phi, order="C").reshape(6, 4, 4)
+    for factor in (w, forms, wts):
+        factor.setflags(write=False)
+    return w, forms, wts
+
+
 def _branch_data(resources, mu, measure_qubit):
     """Vectorized branch bookkeeping over the Bloch design.
 
@@ -124,17 +141,17 @@ def _branch_data(resources, mu, measure_qubit):
     q[n, m, j, k] are branch probabilities at design node n, and
     vals[c, n, m, j, k] = <phi_n| s_c rho~_C s_c |phi_n> for each candidate
     correction c, with rho~_C the q-weighted (unnormalized) receiver state,
-    so no branch ever needs renormalizing.
+    so no branch ever needs renormalizing.  The bras, the forms S and the
+    weights are the fixed `_design_factors`; mu enters only through the
+    assisting bra u = w x R(mu), R the real `_basis_kets` rotation.
     """
-    kets, wts = qcore.bloch_grid()
+    w, forms, wts = _design_factors()
     res = np.asarray(resources, dtype=complex).reshape(-1, 2, 2, 2, 2, 2, 2)
-    w = np.einsum("jxa,nx->nja", _BELLS.conj(), kets)
-    u = np.einsum("nja,kb->njkab", w, np.stack(_basis_kets(mu)).conj())
+    u = w * _basis_kets(mu)[:, None, :]
     rho = np.einsum(_RHO_SUBSCRIPTS[measure_qubit], u, res, u.conj(), optimize=_RHO_PATH)
     q = np.einsum("nmjkcc->nmjk", rho).real
-    sigma_phi = np.einsum("cxy,ny->cnx", _PAULIS, kets)
-    vals = np.einsum("nmjkxy,cnx,cny->cnmjk", rho, sigma_phi.conj(), sigma_phi).real
-    return q, vals, wts
+    vals = (rho.reshape(6, -1, 4) @ forms).real  # [n, (m, j, k), c]
+    return q, vals.reshape(*q.shape, 4).transpose(4, 0, 1, 2, 3), wts
 
 
 # Local unitaries between the sign sectors of the pair Hamiltonian.  Z x 1

@@ -1,17 +1,24 @@
 """Shared test utilities: random states, a call counter, independent
-embeddings, the three-qubit tangle used to pin swap outputs, and the
-margins through the public closed forms with the point-by-point
-critical-temperature solver on them that the array scan is checked
-against."""
+embeddings, the three-qubit tangle used to pin swap outputs, the teleport
+branch data from its definition, and the margins through the public
+closed forms with the point-by-point critical-temperature solver on them
+that the array scan is checked against."""
 
 import math
 import sys
 
 import numpy as np
 
-from xyswap import critical
-from xyswap.teleport import fidelity_closed_form
-from xyswap.xychain import ChainParams, pair_metrics
+from xyswap import critical, qcore
+from xyswap.teleport import fidelity_closed_form, fidelity_coefficients
+from xyswap.xychain import (
+    ChainParams,
+    bell_overlap,
+    field_terms,
+    pair_metrics,
+    scaled_exponentials,
+    spin_flip_roots,
+)
 
 
 def random_ket(rng, dim):
@@ -96,6 +103,31 @@ def three_tangle(psi):
     return float(4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3))
 
 
+def reference_branch_data(resources, mu, measure_qubit):
+    """(q, vals) of `teleport._branch_data` from its definition, three
+    einsums over the Bloch design: the Bell bra of input and A2 times the
+    conjugated assisting ket (cos mu, sin mu) or (-sin mu, cos mu) on both
+    sides of each channel, its receiver trace q[n, m, j, k], and
+    vals[c, n, m, j, k] = <phi_n| s_c rho~ s_c |phi_n>.  Measuring C
+    contracts the assisting bra with the channel's C axes instead of B's."""
+    kets, _ = qcore.bloch_grid()
+    bells = np.stack([qcore.bell_ket(j).reshape(2, 2) for j in range(4)])
+    paulis = np.stack([qcore.pauli(c) for c in range(4)])
+    c, s = math.cos(mu), math.sin(mu)
+    assist = np.array([[c, s], [-s, c]], dtype=complex)
+    # axes (m, A2, B, C) of the rows, then of the columns
+    res = np.asarray(resources, dtype=complex).reshape(-1, 2, 2, 2, 2, 2, 2)
+    if measure_qubit == "C":
+        res = res.transpose(0, 1, 3, 2, 4, 6, 5)
+    w = np.einsum("jxa,nx->nja", bells.conj(), kets)
+    u = np.einsum("nja,kb->njkab", w, assist.conj())
+    rho = np.einsum("njkab,mabcdef,njkde->nmjkcf", u, res, u.conj())
+    q = np.einsum("nmjkcc->nmjk", rho).real
+    sigma_phi = np.einsum("cxy,ny->cnx", paulis, kets)
+    vals = np.einsum("nmjkxy,cnx,cny->cnmjk", rho, sigma_phi.conj(), sigma_phi).real
+    return q, vals
+
+
 def public_margin(kind, params):
     """The solver's signed margin of `kind` through the public closed forms
     `pair_metrics` and `fidelity_closed_form` (mu = pi/4), apart from the
@@ -108,12 +140,29 @@ def public_margin(kind, params):
     return 2.0 * lams[0] - (((lams[0] + lams[1]) + lams[2]) + lams[3]) if kind == 1 else m.fef - 0.5
 
 
-def reference_critical(kind, gamma, eta, J=1.0, t_hi=None, step=None):
+def public_margins(kind, gamma, eta, t):
+    """`public_margin` at J = 1 on an array of temperatures t, from the
+    public kernels of the closed forms on `scaled_exponentials` of 1 / t
+    and `field_terms`; NaN where hypot(eta, gamma) / t overflows, where
+    the scalar closed forms take their T -> 0 limit."""
+    b, r = field_terms(gamma, eta)
+    e = scaled_exponentials(1.0 / t, b)
+    if kind == 1:
+        return spin_flip_roots(e, r)[1]
+    if kind == 2:
+        return bell_overlap(e, r) - 0.5
+    c1, c2 = fidelity_coefficients(e, r)
+    return c1 + 0.5 * c2 - 2.0 / 3.0
+
+
+def reference_critical(kind, gamma, eta, J=1.0, t_hi=None, step=None, on_arrays=False):
     """The critical-temperature solver with its descending scan evaluated
     one scalar closed form per temperature, in units of J: the margins
     depend on T / J alone, so they are taken at J = 1.  The scan steps
     0.05 down from a ceiling of at most 5, and a hundredth of the ceiling
-    from a higher one, unless `step` is given.  Returns (result, messages),
+    from a higher one, unless `step` is given, by repeated subtraction
+    down to the 1e-6 J floor.  With `on_arrays` the scan below the ceiling
+    is one `public_margins` call on that grid.  Returns (result, messages),
     with the warnings it would log as formatted strings, their
     temperatures absolute."""
     critical._check_domain(gamma, eta, J)
@@ -140,22 +189,21 @@ def reference_critical(kind, gamma, eta, J=1.0, t_hi=None, step=None):
         )
         return result(math.nan, None, False)
 
-    t_prev, f_prev = t_hi, f_hi
+    # t_hi, then t_hi - step - step - ... while above the floor, then the floor
+    below = np.subtract.accumulate(np.r_[t_hi, np.full(int(t_hi / step) + 1, step)])[1:]
+    grid = np.r_[t_hi, below[below > floor], floor]
+    if on_arrays:
+        margins = public_margins(kind, gamma, eta, grid[1:])
+        assert not np.isnan(margins).any()
+    else:
+        margins = np.array([f(t) for t in grid[1:].tolist()])
+    prev, cur = np.r_[f_hi, margins[:-1]], margins
+    upward = (prev <= 0.0) & (0.0 < cur)
+    crossings = np.count_nonzero(upward | ((prev >= 0.0) & (0.0 > cur)))
     first = None
-    crossings = 0
-    t = t_hi - step
-    while True:
-        t = max(t, floor)
-        f_cur = f(t)
-        upward = f_prev <= 0.0 < f_cur
-        if upward or f_prev >= 0.0 > f_cur:
-            crossings += 1
-            if first is None and upward:
-                first = (t, t_prev)
-        t_prev, f_prev = t, f_cur
-        if t == floor:
-            break
-        t = t - step
+    if upward.any():
+        i = int(np.argmax(upward))
+        first = (float(grid[i + 1]), float(grid[i]))
 
     if first is None:
         if f(0.0) <= 0.0:

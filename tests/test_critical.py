@@ -575,13 +575,14 @@ def test_solve_work_is_bounded_at_any_field_and_ceiling(monkeypatch, kind):
 def test_roots_match_the_fine_grid_roots():
     # a ceiling above 5 J is scanned in steps of a hundredth of it; each
     # root stays within 1e-8 J of the 0.05 J grid's, both brackets being
-    # at most 1e-8 J wide around the same root
+    # at most 1e-8 J wide around the same root.  The fine grid, thousands
+    # of points a case, is evaluated on arrays through the public kernels
     rng = np.random.default_rng(12)
     for _ in range(300):
         kind, gamma = int(rng.integers(1, 4)), float(rng.choice([0.05, 0.3, 0.5, 1.0]))
         eta = math.exp(rng.uniform(math.log(2.0), math.log(5e3)))
         got = {1: t1_critical, 2: t2_critical, 3: t3_critical}[kind](gamma, eta)
-        want, _ = reference_critical(kind, gamma, eta, step=critical._SCAN_STEP_OVER_J)
+        want, _ = reference_critical(kind, gamma, eta, step=critical._SCAN_STEP_OVER_J, on_arrays=True)
         assert got.converged == want.converged, (kind, gamma, eta)
         assert got.t_over_j == pytest.approx(want.t_over_j, abs=1e-8), (kind, gamma, eta)
 

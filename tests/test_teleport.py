@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import random_density, random_ket
+from helpers import counted, random_density, random_ket, reference_branch_data
 from xyswap import qcore
 from xyswap.teleport import (
     TeleportConfig,
     _branch_data,
     _correction_table,
+    _design_factors,
     conditioned_state,
     evaluate,
     fidelity_closed_form,
@@ -167,6 +168,32 @@ def test_branch_data_matches_generic_measurement():
     assert impossible == 2 * (24 + 4)
 
 
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    ranks=st.lists(st.integers(1, 8), min_size=1, max_size=8),
+    qubit=st.sampled_from(("B", "C")),
+    mu=st.one_of(st.sampled_from((0.0, math.pi / 4.0)), st.floats(0.0, math.pi / 4.0)),
+)
+def test_branch_data_matches_its_definition(seed, ranks, qubit, mu):
+    # stacks of random channels against the three-einsum definition; and
+    # since mu enters only through the assisting bra, once on each side,
+    # q and vals are c^2 X0 + c s X1 + s^2 X2 in c = cos(mu), s = sin(mu)
+    # with X fitted from mu = 0, pi/4 and pi/2
+    rng = np.random.default_rng(seed)
+    resources = np.stack([random_density(rng, 8, rank) for rank in ranks])
+    q, vals, _ = _branch_data(resources, mu, qubit)
+    want_q, want_vals = reference_branch_data(resources, mu, qubit)
+    assert np.max(np.abs(q - want_q)) <= 1e-14
+    assert np.max(np.abs(vals - want_vals)) <= 1e-14
+    fit_mus = (0.0, math.pi / 4.0, math.pi / 2.0)
+    design = np.array([[math.cos(m) ** 2, math.cos(m) * math.sin(m), math.sin(m) ** 2] for m in fit_mus])
+    c, s = math.cos(mu), math.sin(mu)
+    for got, part in ((q, 0), (vals, 1)):
+        fixed = np.linalg.solve(design, np.stack([_branch_data(resources, m, qubit)[part].ravel() for m in fit_mus]))
+        assert np.max(np.abs(got.ravel() - np.array([c * c, c * s, s * s]) @ fixed)) <= 1e-14
+
+
 # ---------------------------------------------------------------------------
 # correction table
 
@@ -198,6 +225,37 @@ def test_correction_table_identity_branches():
         (6, 1, 1), (6, 2, 2),
         (7, 0, 1), (7, 3, 2),
     }
+
+
+# entries [i, j, k - 1] as the tables were first derived, so that a
+# change to `_branch_data` cannot move both a table and its re-derivation
+_PINNED_TABLES = {
+    "B": [
+        [[3, 0], [2, 1], [1, 2], [0, 3]],
+        [[2, 1], [3, 0], [0, 3], [1, 2]],
+        [[3, 0], [2, 1], [1, 2], [0, 3]],
+        [[2, 1], [3, 0], [0, 3], [1, 2]],
+        [[1, 2], [0, 3], [3, 0], [2, 1]],
+        [[0, 3], [1, 2], [2, 1], [3, 0]],
+        [[1, 2], [0, 3], [3, 0], [2, 1]],
+        [[0, 3], [1, 2], [2, 1], [3, 0]],
+    ],
+    "C": [
+        [[3, 0], [2, 1], [1, 2], [0, 3]],
+        [[3, 0], [2, 1], [1, 2], [0, 3]],
+        [[2, 1], [3, 0], [0, 3], [1, 2]],
+        [[2, 1], [3, 0], [0, 3], [1, 2]],
+        [[1, 2], [0, 3], [3, 0], [2, 1]],
+        [[1, 2], [0, 3], [3, 0], [2, 1]],
+        [[0, 3], [1, 2], [2, 1], [3, 0]],
+        [[0, 3], [1, 2], [2, 1], [3, 0]],
+    ],
+}
+
+
+@pytest.mark.parametrize("measure_qubit", ["B", "C"])
+def test_correction_table_is_pinned(measure_qubit):
+    assert _correction_table(measure_qubit).tolist() == _PINNED_TABLES[measure_qubit]
 
 
 def test_correction_table_first_branch():
@@ -294,6 +352,26 @@ def test_simulation_matches_closed_form_in_every_sign_sector(J, gamma, eta, T, q
     # the J > 0, gamma >= 0 frame, for which the correction table is derived
     result = evaluate(_params(J, gamma, eta, T), TeleportConfig(mu=mu, measure_qubit=qubit))
     assert abs(result.phi_closed - result.phi_simulated) <= 1e-9
+
+
+def test_evaluate_einsum_budget(monkeypatch):
+    # per evaluate: the swap's two, the channel contraction and the branch
+    # probabilities in `_branch_data`, the simulated fidelity and the
+    # weights, and the Gibbs state's one at T > 0.  The design factors are
+    # built once per process; every later call reads them from the cache
+    for qubit in ("B", "C"):
+        evaluate(_params(gamma=0.4, eta=1.1, T=0.7), TeleportConfig(mu=0.3, measure_qubit=qubit))
+    before = _design_factors.cache_info()
+    calls = []
+    monkeypatch.setattr(np, "einsum", counted(calls, "einsum", np.einsum))
+    for qubit in ("B", "C"):
+        for T, want in ((0.7, 7), (0.0, 6)):
+            calls.clear()
+            evaluate(_params(gamma=0.4, eta=1.1, T=T), TeleportConfig(mu=0.3, measure_qubit=qubit))
+            assert len(calls) == want, (qubit, T)
+    after = _design_factors.cache_info()
+    assert after.misses == before.misses == 1
+    assert after.hits == before.hits + 4
 
 
 def test_fidelity_increases_with_measurement_angle():
