@@ -48,20 +48,14 @@ _V_BITS = np.array([[v >> 2 - p & 1 for _, v in _TERMS] for p in range(3)])
 _GHZ_SIGNS = [[(x > 0) - (x < 0) for x in qcore.ghz_ket(i).real.tolist()] for i in range(8)]
 _TERM_WEIGHTS = np.array([[0.5 * s[u] * s[v] for u, v in _TERMS] for s in _GHZ_SIGNS], dtype=complex)
 
-# a frame's tolerance on max |U^H U - I|: thousands of ulps of its unit
-# entries, above the rounding of a unitary built in floating point
-_UNITARY_TOL = 1e-12
-_IDENTITY = np.eye(4)
-
 
 @dataclass(frozen=True)
 class SwapResult:
-    """Outcome probabilities, conditional states (None for impossible
-    branches) and the outcome-averaged mixture."""
+    """Outcome probabilities and conditional states (None for impossible
+    branches)."""
 
     probabilities: np.ndarray
     post_states: tuple
-    mixture: np.ndarray
 
 
 def _swap(chi1, chi2, chi3):
@@ -75,10 +69,9 @@ def _swap(chi1, chi2, chi3):
     kept = probs > qcore.ZERO_PROB_THRESHOLD
     states = branches[kept] / probs[kept, None, None]
     states = 0.5 * (states + states.conj().transpose(0, 2, 1))
-    mixture = np.einsum("i,ijk->jk", probs[kept], states)
     kept_states = iter(states)
     post_states = tuple(next(kept_states) if k else None for k in kept)
-    return SwapResult(probs, post_states, mixture)
+    return SwapResult(probs, post_states)
 
 
 def swap_triple(chi1, chi2, chi3):
@@ -88,36 +81,13 @@ def swap_triple(chi1, chi2, chi3):
     return _swap(chi1, chi2, chi3)
 
 
-def _checked_frame(frame):
-    """The frame as a complex array; ValueError unless it is a finite 4x4
-    matrix U with max |U^H U - I| <= _UNITARY_TOL."""
-    frame = np.asarray(frame, dtype=complex)
-    if frame.shape != (4, 4):
-        raise ValueError(f"frame must be a 4x4 matrix, got shape {frame.shape}")
-    if not np.isfinite(frame).all():
-        raise ValueError("frame has a non-finite entry")
-    # entries near the largest double overflow here, which the negated
-    # comparison rejects
-    with np.errstate(over="ignore", invalid="ignore"):
-        defect = abs(frame.conj().T @ frame - _IDENTITY).max()
-    if not defect <= _UNITARY_TOL:
-        raise ValueError(f"frame is not unitary: max |U^H U - I| = {defect:.3g} > {_UNITARY_TOL:g}")
-    return frame
-
-
-def swap_all(params, frame=None):
+def swap_all(params):
     """Swap three identical pairs drawn from the chain model (thermal for
-    T > 0, ground state at T = 0).  A `frame` is applied to each pair
-    first, as U chi U^dagger; it must be a finite 4x4 unitary, with
-    max |U^H U - I| <= 1e-12, or a ValueError naming the frame is raised.
+    T > 0, ground state at T = 0).
 
-    The pair state itself is not re-checked: `thermal_state` and
-    `ground_state` build a density operator on the whole parameter domain
-    (a property test holds them to `qcore.validate_density`), and a
-    unitary frame keeps it one.
+    The pair state is not re-checked: `thermal_state` and `ground_state`
+    build a density operator on the whole parameter domain (a property
+    test holds them to `qcore.validate_density`).
     """
     chi = thermal_state(params) if params.T > 0.0 else ground_state(params)
-    if frame is not None:
-        frame = _checked_frame(frame)
-        chi = frame @ chi @ frame.conj().T
     return _swap(chi, chi, chi)

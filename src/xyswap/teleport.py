@@ -37,7 +37,7 @@ import numpy as np
 
 from . import qcore
 from .swapnet import swap_all
-from .xychain import kernel_inputs
+from .xychain import ChainParams, kernel_inputs
 
 __all__ = [
     "TeleportConfig",
@@ -154,29 +154,20 @@ def _branch_data(resources, mu, measure_qubit):
     return q, vals.reshape(*q.shape, 4).transpose(4, 0, 1, 2, 3), wts
 
 
-# Local unitaries between the sign sectors of the pair Hamiltonian.  Z x 1
-# flips sx.sx and sy.sy and keeps the field term eta J, so it carries
-# H(J, gamma, eta) to H(-J, gamma, -eta).  S = diag(1, i), which is
-# Rz(pi/2) up to a phase, maps sx to sy and sy to -sx, so S x S carries
-# H(gamma) to H(-gamma) and back (its square Z x Z commutes with H).
-# Conjugating a Gibbs or ground state by them gives the state of the
-# carried Hamiltonian.
-_FLIP_J = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
-_FLIP_GAMMA = np.diag([1.0, 1j, 1j, -1.0])
-
-
-def _positive_frame(params):
-    """The local unitary that takes the pair into the J > 0, gamma >= 0
-    frame, for which the correction table is derived; None where the pair
-    is already there (or J = 0, where the pair is maximally mixed)."""
+# Local unitaries carry the sign sectors of the pair Hamiltonian into each
+# other: Z x 1 flips sx.sx and sy.sy and keeps the field term eta J, so it
+# carries H(J, gamma, eta) to H(-J, gamma, -eta), and S x S, S = diag(1, i),
+# carries H(gamma) to H(-gamma).  A rotated Gibbs or ground state is the
+# state of the rotated Hamiltonian, so the rotated pair is the model's own
+# pair at the carried parameters.
+def _positive_params(params):
+    """The parameters of the pair rotated into the J >= 0, gamma >= 0
+    frame, for which the correction table is derived; `params` itself
+    where the pair is already there."""
     if params.J >= 0.0 and params.gamma >= 0.0:
-        return None
-    frame = np.eye(4, dtype=complex)
-    if params.J < 0.0:
-        frame = _FLIP_J @ frame
-    if params.gamma < 0.0:
-        frame = _FLIP_GAMMA @ frame
-    return frame
+        return params
+    eta = -params.eta if params.J < 0.0 else params.eta
+    return ChainParams(J=abs(params.J), gamma=abs(params.gamma), eta=eta, T=params.T)
 
 
 # the branches (i, j, k) in the order of a table's entries [i, j, k - 1]
@@ -223,13 +214,15 @@ def evaluate(params, cfg=None):
     """Closed form and simulation side by side, with the static correction
     table and the averaged per-branch weights p_i <q^(i)_{jk}>.
 
-    Each pair is first rotated into the J > 0, gamma >= 0 frame by local
-    unitaries, which the parties can apply since they know the chain's
-    signs; the table is derived for that frame.
+    The table is derived for J >= 0, gamma >= 0.  At other signs the
+    parties, who know the chain's signs, first rotate each pair into that
+    frame with the local unitaries Z x 1 (J < 0) and S x S (gamma < 0);
+    the rotated pair is the chain's own pair at |J|, |gamma| and
+    eta sign(J), so the swap runs at those parameters.
     """
     cfg = cfg if cfg is not None else TeleportConfig()
     closed = fidelity_closed_form(params, cfg)
-    swap = swap_all(params, _positive_frame(params))
+    swap = swap_all(_positive_params(params))
     kept = [i for i in range(8) if swap.post_states[i] is not None]
     resources = np.stack([swap.post_states[i] for i in kept])
     probs = swap.probabilities[kept]

@@ -261,14 +261,16 @@ def test_default_artifacts_match_stored_bytes(capsys, command):
     (["fig1", "--gammas", "0,0.3,0.6,1", "--eta-max", "2", "--steps", "80"], "fig1_default.csv"),
     # the README's swap has no field, where every outcome reads 0.125; a
     # field-polarised swap and a ground-state fidelity with six of the eight
-    # outcomes impossible pin the swap itself, and a fidelity at J, gamma < 0
-    # pins the swap through a sign-sector frame
+    # outcomes impossible pin the swap itself, and fidelities at J, gamma < 0
+    # and at J < 0 on the ground-state tie pin the swap at the parameters of
+    # the positive sign frame
     (["swap", "--T", "0.5", "--gamma", "0.7", "--eta", "1.1"], "swap_field.csv"),
     (["fidelity", "--T", "0", "--gamma", "0", "--eta", "1.5"], "fidelity_cold.csv"),
     (["fidelity", "--J", "-1", "--gamma", "-0.5", "--eta", "0.8", "--T", "0.4"], "fidelity_flipped.csv"),
+    (["fidelity", "--J", "-2", "--gamma", "0.6", "--eta", "-0.8", "--T", "0"], "fidelity_flipped_tie.csv"),
 ])
 def test_readme_examples_match_stored_bytes(capsys, argv, stored):
-    # the README's command-line examples and three swap checks in CSV, stored
+    # the README's command-line examples and four swap checks in CSV, stored
     # once from a known-good run; JSON prints full doubles, whose last bits
     # may differ on another numpy or BLAS, so it is checked by parsed values
     # above

@@ -6,10 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import brute_embed, counted, qubit_swap_matrix, random_density, random_unitary, three_tangle
+from helpers import brute_embed, counted, qubit_swap_matrix, random_density, three_tangle
 from xyswap import qcore
 from xyswap.swapnet import SwapResult, swap_all, swap_triple
-from xyswap.teleport import TeleportConfig, _positive_frame, evaluate
+from xyswap.teleport import TeleportConfig, evaluate
 from xyswap.xychain import ChainParams, ground_state, thermal_state
 
 
@@ -23,7 +23,6 @@ def test_maximally_mixed_inputs_stay_maximally_mixed():
     assert_allclose(result.probabilities, np.full(8, 0.125), atol=1e-12)
     for state in result.post_states:
         assert_allclose(state, np.eye(8) / 8.0, atol=1e-12)
-    assert_allclose(result.mixture, np.eye(8) / 8.0, atol=1e-12)
 
 
 def test_singlet_inputs_produce_pure_tripartite_states():
@@ -59,7 +58,8 @@ def test_probabilities_complete_for_random_inputs():
         result = swap_triple(*chis)
         assert result.probabilities.sum() == pytest.approx(1.0, abs=1e-10)
         assert np.all(result.probabilities >= -1e-14)
-        qcore.validate_density(result.mixture)
+        for state in result.post_states:
+            qcore.validate_density(state, dim=8)
 
 
 def test_probability_matches_projector_expectation():
@@ -124,18 +124,8 @@ def test_swap_computes_no_einsum_path(monkeypatch):
     rng = np.random.default_rng(83)
     swap_triple(*(random_density(rng, 4) for _ in range(3)))
     swap_all(ChainParams(J=1.0, gamma=0.4, eta=0.7, T=0.6))
-    swap_all(ChainParams(J=-1.0, gamma=0.3, eta=1.2, T=0.0), random_unitary(rng, 4))
+    swap_all(ChainParams(J=-1.0, gamma=-0.3, eta=1.2, T=0.0))
     assert calls == []
-
-
-def test_mixture_is_probability_weighted_average():
-    rng = np.random.default_rng(71)
-    chis = [random_density(rng, 4) for _ in range(3)]
-    result = swap_triple(*chis)
-    acc = np.zeros((8, 8), dtype=complex)
-    for p, state in zip(result.probabilities, result.post_states):
-        acc += p * state
-    assert_allclose(result.mixture, acc, atol=1e-14)
 
 
 def test_exchanging_two_input_pairs_permutes_outcomes():
@@ -178,16 +168,16 @@ def test_impossible_branches_report_none():
 
 
 def test_swap_all_agrees_with_swap_triple():
-    # the model's pair in a random local frame, swapped by either entry point
-    rng = np.random.default_rng(79)
-    p = ChainParams(J=1.0, gamma=0.4, eta=0.7, T=0.6)
-    frame = random_unitary(rng, 4)
-    chi = frame @ thermal_state(p) @ frame.conj().T
-    result, want = swap_all(p, frame), swap_triple(chi, chi, chi)
-    assert_allclose(result.probabilities, want.probabilities, atol=1e-14)
-    for state, want_state in zip(result.post_states, want.post_states):
-        assert_allclose(state, want_state, atol=1e-14)
-    assert_allclose(result.mixture, want.mixture, atol=1e-14)
+    # the model's pair in every sign sector, and at a tie of its two lowest
+    # levels, swapped by either entry point
+    for J, gamma, eta, T in ((1.0, 0.4, 0.7, 0.6), (-1.0, 0.4, -0.7, 0.6), (1.0, -0.4, 0.7, 0.0),
+                             (-1.0, -0.4, 0.7, 0.6), (-2.0, 0.6, -0.8, 0.0)):
+        p = ChainParams(J=J, gamma=gamma, eta=eta, T=T)
+        chi = thermal_state(p) if T > 0.0 else ground_state(p)
+        result, want = swap_all(p), swap_triple(chi, chi, chi)
+        assert_allclose(result.probabilities, want.probabilities, atol=1e-14)
+        for state, want_state in zip(result.post_states, want.post_states):
+            assert_allclose(state, want_state, atol=1e-14)
 
 
 def test_swap_triple_rejects_bad_inputs():
@@ -203,39 +193,14 @@ def test_swap_all_thermal_pair():
     assert isinstance(result, SwapResult)
     # identical-pair networks give unbiased outcomes
     assert_allclose(result.probabilities, np.full(8, 0.125), atol=1e-12)
-    qcore.validate_density(result.mixture)
+    for state in result.post_states:
+        qcore.validate_density(state, dim=8)
 
 
 def test_swap_all_ground_pair_is_pure_per_branch():
     result = swap_all(ChainParams(J=1.0, gamma=0.3, eta=0.4, T=0.0))
     for state in result.post_states:
         assert _purity(state) == pytest.approx(1.0, abs=1e-12)
-
-
-_PAIR = ChainParams(J=1.0, gamma=0.0, eta=0.0, T=1e6)
-
-
-@pytest.mark.parametrize("frame", [
-    np.diag([2.0, 0.0, 0.0, 0.0]),  # swaps as |00><00| unless refused
-    np.full((4, 4), np.nan),
-    np.eye(3),
-    np.eye(4)[:, :, None],
-    random_unitary(np.random.default_rng(89), 4) + 1e-6,
-], ids=["projector", "nan", "3x3", "4x4x1", "perturbed unitary"])
-def test_swap_all_refuses_frames_that_are_not_4x4_unitaries(frame):
-    with pytest.raises(ValueError, match="frame"):
-        swap_all(_PAIR, frame)
-
-
-def test_swap_all_takes_the_sign_sector_and_random_unitary_frames():
-    rng = np.random.default_rng(97)
-    points = [ChainParams(J=J, gamma=gamma, eta=0.8, T=0.4) for J, gamma in ((-1.0, 0.3), (1.0, -0.3), (-1.0, -0.3))]
-    cases = [(p, _positive_frame(p)) for p in points]
-    cases += [(ChainParams(J=0.7, gamma=0.5, eta=1.3, T=0.9), random_unitary(rng, 4)) for _ in range(10)]
-    for p, frame in cases:
-        chi = frame @ thermal_state(p) @ frame.conj().T
-        result, want = swap_all(p, frame), swap_triple(chi, chi, chi)
-        assert_allclose(result.probabilities, want.probabilities, atol=1e-14)
 
 
 def _signed(magnitude):
@@ -253,11 +218,11 @@ def _signed(magnitude):
 @example(J=1e-300, gamma=1e-12, eta=-1e300, T=5e-324)
 @example(J=-4.0, gamma=0.6, eta=0.8, T=0.0)  # hypot(eta, gamma) = 1: a tie
 def test_the_pair_states_swap_all_trusts_are_density_operators(J, gamma, eta, T):
-    # swap_all checks only the caller's frame: the model's own pair state
-    # and the swap of it must be valid on the whole parameter domain
+    # swap_all checks nothing: the model's own pair state and the swap of
+    # it must be valid on the whole parameter domain
     p = ChainParams(J=J, gamma=gamma, eta=eta, T=T)
     qcore.validate_density(thermal_state(p) if T > 0.0 else ground_state(p), dim=4)
-    result = swap_all(p, _positive_frame(p))
+    result = swap_all(p)
     assert result.probabilities.min() >= -1e-15
     assert abs(result.probabilities.sum() - 1.0) <= 1e-12
     for state in result.post_states:
@@ -268,12 +233,11 @@ def test_the_pair_states_swap_all_trusts_are_density_operators(J, gamma, eta, T)
 def test_swap_all_and_evaluate_call_no_lapack(monkeypatch):
     # the pair state is the package's own, so no eigenvalue check runs on it
     calls = []
-    frame = random_unitary(np.random.default_rng(101), 4)
     for name in ("eigvalsh", "eigh", "eigvals", "svd"):
         monkeypatch.setattr(np.linalg, name, counted(calls, name, getattr(np.linalg, name)))
     swap_all(ChainParams(J=1.0, gamma=0.4, eta=0.7, T=0.6))
     swap_all(ChainParams(J=1.0, gamma=0.4, eta=0.7, T=0.0))
-    swap_all(ChainParams(J=1.0, gamma=0.4, eta=0.7, T=0.6), frame)
+    swap_all(ChainParams(J=-1.0, gamma=-0.4, eta=0.7, T=0.6))
     for qubit in ("B", "C"):
         evaluate(ChainParams(J=-1.3, gamma=-0.4, eta=0.9, T=0.5), TeleportConfig(measure_qubit=qubit))
     assert calls == []

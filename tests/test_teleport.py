@@ -355,17 +355,18 @@ def test_simulation_matches_closed_form_in_every_sign_sector(J, gamma, eta, T, q
 
 
 def test_evaluate_einsum_budget(monkeypatch):
-    # per evaluate: the swap's two, the channel contraction and the branch
-    # probabilities in `_branch_data`, the simulated fidelity and the
-    # weights, and the Gibbs state's one at T > 0.  The design factors are
-    # built once per process; every later call reads them from the cache
+    # per evaluate: the swap's outcome probabilities, the channel
+    # contraction and the branch probabilities in `_branch_data`, the
+    # simulated fidelity and the weights, and the Gibbs state's one at
+    # T > 0.  The design factors are built once per process; every later
+    # call reads them from the cache
     for qubit in ("B", "C"):
         evaluate(_params(gamma=0.4, eta=1.1, T=0.7), TeleportConfig(mu=0.3, measure_qubit=qubit))
     before = _design_factors.cache_info()
     calls = []
     monkeypatch.setattr(np, "einsum", counted(calls, "einsum", np.einsum))
     for qubit in ("B", "C"):
-        for T, want in ((0.7, 7), (0.0, 6)):
+        for T, want in ((0.7, 6), (0.0, 5)):
             calls.clear()
             evaluate(_params(gamma=0.4, eta=1.1, T=T), TeleportConfig(mu=0.3, measure_qubit=qubit))
             assert len(calls) == want, (qubit, T)

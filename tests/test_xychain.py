@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from xyswap import qcore, xychain
-from xyswap.teleport import evaluate, fidelity_closed_form
+from xyswap.teleport import _positive_params, evaluate, fidelity_closed_form
 from xyswap.xychain import (
     ChainParams,
     ground_state,
@@ -693,6 +693,47 @@ def test_closed_forms_match_the_oracles_over_the_whole_domain(J, gamma, eta, on_
     assert m.concurrence == pytest.approx(qcore.wootters_concurrence(rho), abs=1e-7)
     result = evaluate(p)
     assert result.phi_closed == pytest.approx(result.phi_simulated, abs=1e-9)
+
+
+# the parties' rotations into the J >= 0, gamma >= 0 frame: Z x 1 for J < 0
+# and S x S, S = diag(1, i), for gamma < 0
+_Z_X_1 = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
+_S_X_S = np.diag([1.0, 1j, 1j, -1.0])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    J=_J_WHOLE,
+    gamma=_GAMMA,
+    eta=_ETA,
+    on_boundary=st.booleans(),
+    T=st.one_of(st.just(0.0), st.just(5e-324), _decades(-324.0, 308.0)),
+)
+@example(J=-1.3, gamma=-0.4, eta=0.0, on_boundary=False, T=0.5)
+@example(J=-1.3, gamma=-0.4, eta=-0.0, on_boundary=False, T=0.5)
+@example(J=0.0, gamma=-0.7, eta=1.1, on_boundary=False, T=0.5)
+@example(J=-0.0, gamma=-0.7, eta=-1.1, on_boundary=False, T=0.0)
+@example(J=-2.0, gamma=0.6, eta=-0.8, on_boundary=False, T=0.0)  # hypot(eta, gamma) = 1: a tie
+def test_positive_params_give_the_rotated_pair(J, gamma, eta, on_boundary, T):
+    # evaluate swaps the pair at _positive_params instead of rotating it by
+    # the parties' unitaries: the rotated Gibbs or ground state must be the
+    # model's own state at those parameters
+    if on_boundary:
+        eta = math.copysign(math.sqrt(1.0 - gamma * gamma), eta)
+    p = _params(J, gamma, eta, T)
+    u = np.eye(4, dtype=complex)
+    if J < 0.0:
+        u = _Z_X_1 @ u
+    if gamma < 0.0:
+        u = _S_X_S @ u
+    rotated = u @ (thermal_state(p) if T > 0.0 else ground_state(p)) @ u.conj().T
+    positive = _positive_params(p)
+    assert positive.J >= 0.0 and positive.gamma >= 0.0
+    assert (positive is p) == (J >= 0.0 and gamma >= 0.0)
+    want = thermal_state(positive) if T > 0.0 else ground_state(positive)
+    assert np.max(np.abs(rotated - want)) <= 1e-15
+    if J >= 0.0 or T == 0.0:
+        assert np.array_equal(rotated, want)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
