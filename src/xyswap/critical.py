@@ -18,11 +18,11 @@ a ceiling of 5 and of a hundredth of the ceiling above; the rows are
 split into the fewest passes of at most 17 whole rows, of sizes within
 one row of each other, small enough that freeing a pass's temporaries
 does not trim the heap, and the crossing rules run along the rows; then
-the bisection steps all brackets in lockstep, in passes of 256 lanes
-that keep one lane layout until a bracket closes.  The passes run the
-numpy kernels of `pair_metrics` and `fidelity_closed_form` on arrays, so
-every sign is the one those public closed forms give.  For gamma > 0
-the thresholds grow roughly linearly in eta, and the scan ceiling
+the bisection steps all brackets in lockstep, in chunks of up to 256
+open brackets, each on one lane layout until all of them close.  The
+passes run the numpy kernels of `pair_metrics` and `fidelity_closed_form`
+on arrays, so every sign is the one those public closed forms give.  For
+gamma > 0 the thresholds grow roughly linearly in eta, and the scan ceiling
 follows the large-eta asymptote so the root never escapes the scanned
 window; the bounded row keeps the solve's cost bounded however large the
 field or the ceiling.
@@ -150,19 +150,16 @@ class _Sweep:
         self.kind = kind
         terms = [field_terms(gamma, eta) for eta in etas]
         self.b, self.r = np.array([b for b, _ in terms]), np.array([r for _, r in terms])
-        self.rows = None
 
     def margins(self, rows, t):
-        if rows is not self.rows:  # a new lane layout: gather its terms once
-            self.rows, self.lane_b, self.lane_r = rows, self.b[rows], self.r[rows]
-        return _scan_margins(self.kind, self.lane_b, self.lane_r, t)
+        return _scan_margins(self.kind, self.b[rows], self.r[rows], t)
 
 
-def _scan(sweep, t_his, f_hi, crossings, lo, hi):
-    """Scan every eta down from its ceiling in `t_his`: keep its margin at
-    the ceiling in `f_hi`, count its crossings below and, unless that
-    margin is positive (no root, no bisection), keep its first upward
-    bracket (T, previous T) in `lo` and `hi`, left NaN where there is none.
+def _scan(sweep, t_his):
+    """Scan every eta down from its ceiling in `t_his` and return, per eta,
+    its margin at the ceiling, its crossings below and, unless that margin
+    is positive (no root, no bisection), its first upward bracket (T,
+    previous T) as lo and hi, NaN where there is none.
     An eta's scan is one row: its ceiling, then T - s, T - 2 s, ...
     (repeated subtraction), the first point at or below the floor clamped
     to it and the rest of the row padded with the floor, which adds no
@@ -172,6 +169,8 @@ def _scan(sweep, t_his, f_hi, crossings, lo, hi):
     most _SCAN_ROWS whole rows, sizes that differ by one row at most and
     keep glibc from trimming the heap after every pass."""
     n = t_his.size
+    f_hi, crossings = np.empty(n), np.empty(n, dtype=np.intp)
+    lo, hi = np.full(n, math.nan), np.full(n, math.nan)
     passes = -(-n // _SCAN_ROWS)
     for k in range(passes):
         part = np.arange(k * n // passes, (k + 1) * n // passes)
@@ -191,6 +190,7 @@ def _scan(sweep, t_his, f_hi, crossings, lo, hi):
         found = (upward.any(axis=1) & (values[:, 0] <= 0.0)).nonzero()[0]
         col = upward[found].argmax(axis=1)
         lo[part[found]], hi[part[found]] = t[found, col + 1], t[found, col]
+    return f_hi, crossings, lo, hi
 
 
 @functools.cache
@@ -227,28 +227,26 @@ def _bisect(sweep, lo_all, hi_all, width):
     """The brackets (lo_all, hi_all), NaN where there is none, narrowed in
     place by mid = 0.5 * (lo + hi) and the sign of the margin there, as a
     scalar bisection narrows them, until `_open` closes them, all etas in
-    lockstep, and returned.  A pass takes up to _BISECT_LANES open brackets
-    and the midpoints of the next `depth` steps of each, depth as large as
-    the pass allows, each formed along its own path with the scalar
-    arithmetic.  Each bracket then follows the signs down its tree by
-    indexing only, once, and stays where it is closed, so it reads the
-    midpoints the scalar loop reads, given a margin positive at lo and not
-    at hi, as the scan hands brackets on.  The open brackets are taken in
-    index order; the others wait."""
+    lockstep, and returned.  The open brackets are taken in index order,
+    in chunks of up to _BISECT_LANES, each bisected to the end (`_passes`)
+    before the next."""
     open_ = _open(lo_all, hi_all, width).nonzero()[0]
-    while open_.size:
-        held = open_[:_BISECT_LANES]
-        lo, hi, still = _passes(sweep, held, lo_all[held], hi_all[held], width)
-        lo_all[held], hi_all[held] = lo, hi
-        # a closed bracket stays closed, and a waiting one open
-        open_ = np.concatenate((held[still], open_[held.size:]))
+    for start in range(0, open_.size, _BISECT_LANES):
+        held = open_[start:start + _BISECT_LANES]
+        lo_all[held], hi_all[held] = _passes(sweep, held, lo_all[held], hi_all[held], width)
     return lo_all, hi_all
 
 
 def _passes(sweep, held, lo, hi, width):
-    """`_bisect`'s passes over the open brackets (lo, hi) of etas `held`,
-    on one tree and one lane layout, until a pass closes one of them: the
-    brackets then and which of them are still open."""
+    """The open brackets (lo, hi) of etas `held`, one chunk of `_bisect`,
+    bisected on one tree and one lane layout until every one is closed.  A
+    pass takes the midpoints of the next `depth` steps of each bracket,
+    depth as large as the pass allows, each formed along its own path with
+    the scalar arithmetic.  Each bracket then follows the signs down its
+    tree by indexing only, once, and stays where it is closed, in that
+    pass and in the rest its chunk takes, so it reads the midpoints the
+    scalar loop reads, given a margin positive at lo and not at hi, as the
+    scan hands brackets on."""
     count = held.size
     size, slot, lower, upper, turns = _tree((_BISECT_LANES // count + 1).bit_length() - 1)
     pick = np.minimum(slot, count - 1)  # padding slots repeat the last bracket
@@ -277,9 +275,8 @@ def _passes(sweep, held, lo, hi, width):
         up = wide & positive
         lo = np.where(up, t, t_lo)[lane]
         hi = np.where(wide ^ up, t, t_hi)[lane]
-        still = hi - lo > width if fine else _open(lo, hi, width)
-        if not still.all():
-            return lo, hi, still
+        if not (hi - lo > width if fine else _open(lo, hi, width)).any():
+            return lo, hi
 
 
 def _solve(kind, gamma, etas, t_his, j):
@@ -300,10 +297,8 @@ def _solve(kind, gamma, etas, t_his, j):
     same `_margin` on the kernels' T = 0 input.
     """
     sweep = _Sweep(kind, gamma, etas)
-    f_hi, crossings = np.empty(len(etas)), np.zeros(len(etas), dtype=np.intp)
-    lo, hi = np.full(len(etas), math.nan), np.full(len(etas), math.nan)
     with np.errstate(all="ignore"):
-        _scan(sweep, np.array(t_his), f_hi, crossings, lo, hi)
+        f_hi, crossings, lo, hi = _scan(sweep, np.array(t_his))
         _bisect(sweep, lo, hi, _BRACKET_WIDTH_OVER_J)
     return [
         _root(kind, gamma, *args, j)

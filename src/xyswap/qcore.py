@@ -57,6 +57,7 @@ _SIGMA = np.array(
 # sigma_y x sigma_y, the spin flip of two qubits, is antidiag(-1, 1, 1, -1):
 # row i of Y M is this sign times row 3 - i of M
 _YY_SIGNS = np.array([[-1.0], [1.0], [1.0], [-1.0]])
+_EYE4 = np.eye(4, dtype=bool)
 
 
 def _check_index(i, count, what):
@@ -329,12 +330,25 @@ def spin_flip_lambdas(rho):
     anything up to ~eps, and its square root would put ~1e-8 into the
     roots of a (near-)pure state; the quotients keep it at the size of the
     rounding in rho's own entries.
+
+    The `eigh` runs on rho with its basis ordered by the connected
+    components of its exact nonzero pattern, so that the matrix is
+    block-diagonal and eigh's tridiagonal reduction splits at each block's
+    edge; otherwise eigh can mix eigenvectors of two blocks whose near-zero
+    eigenvalues lie within its error, and the mixed vectors' quotients
+    carry the rounding of the other block's entries.  A state of one
+    component keeps its basis order.
     """
     rho = _density_checked(np.asarray(rho, dtype=complex), 4)
-    w, v = _eigensystem(rho)
+    linked = rho != 0
+    linked = linked | linked.T | _EYE4
+    linked = linked @ linked  # paths of up to 2 steps, then 4
+    order = (linked @ linked).argmax(1).argsort(kind="stable")  # by lowest index reached
+    w, v = _eigensystem(rho.take(order, 0).take(order, 1))
+    v[order] = v.copy()
     _check_spectrum(w, "density operator")
     q = (v.conj() * (rho @ v)).sum(0).real
-    r = v * np.sqrt(np.clip(q, 0.0, None))
+    r = v * np.sqrt(np.maximum(q, 0.0))
     return np.linalg.svd(r.T @ (_YY_SIGNS * r[::-1]), compute_uv=False)
 
 

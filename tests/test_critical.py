@@ -272,6 +272,15 @@ def test_ints_too_large_for_a_float_are_not_finite(call):
 
 _FIG1_ETAS = list(np.linspace(0.0, 2.0, 81))
 _TAIL_ETAS = [2.5, 7.0, 30.0, 120.0, 200.0]
+
+
+def _mixed_etas(eta_max):
+    """The fig1 grid and 219 log-spaced etas from 2 to eta_max in one fixed
+    shuffled order: brackets that take from 23 to about 44 halvings."""
+    tail = np.logspace(math.log10(2.0), math.log10(eta_max), 219)
+    return [float(eta) for eta in np.random.default_rng(30).permutation(_FIG1_ETAS + list(tail))]
+
+
 _SWEEPS = (
     # the table1 grid
     [(kind, 0.0, [round(0.1 * i, 1) for i in range(10)], 1.0) for kind in (2, 3)]
@@ -290,6 +299,11 @@ _SWEEPS = (
        for kind in (1, 2, 3)]
     # ceilings of about 60 J, which took over 1024 points at 0.05 J
     + [(1, 0.5, [200.0], 1.0), (2, 0.5, [200.0], 1.0), (3, 0.5, [700.0], 1.0)]
+    # 300 open brackets, more than one bisection chunk of 256 holds, fig1
+    # and large-field etas mixed, so that the brackets of a chunk close at
+    # different passes; kind 3 has no bracket above eta ~ 9e4 at gamma = 0.5
+    # (its margin cancels to 0 there), so its etas stop at 1e4
+    + [(kind, 0.5, _mixed_etas(1e4 if kind == 3 else 1e8), 1.0) for kind in (1, 2, 3)]
 )
 
 

@@ -520,6 +520,33 @@ def test_spin_flip_lambdas_match_the_validated_route_on_ground_states(J, gamma, 
         assert abs(qcore.wootters_concurrence(rho) - pair_metrics(p).concurrence) <= 1e-13
 
 
+def _assert_concurrences_match_the_closed_form(J, gamma, eta, T):
+    for sj, sg, se in itertools.product((1.0, -1.0), repeat=3):
+        p = ChainParams(J=sj * J, gamma=sg * gamma, eta=se * eta, T=T)
+        rho = ground_state(p) if T == 0.0 else thermal_state(p)
+        assert abs(qcore.wootters_concurrence(rho) - pair_metrics(p).concurrence) <= 1e-13, (sj, sg, se)
+
+
+def test_concurrence_keeps_the_blocks_apart_where_their_eigenvalues_meet():
+    # the exchange block's and the field block's near-zero eigenvalues lie
+    # within eigh's error of each other here: decomposed as one 4x4 matrix,
+    # eigh mixed their eigenvectors, and four of the sign combinations
+    # strayed by 2.7e-10 and 1.2e-9
+    _assert_concurrences_match_the_closed_form(4.587, 1.03e-8, 0.919, 0.238)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    J=st.floats(0.1, 10.0),
+    gamma=st.floats(-12.0, 0.0).map(lambda x: 10.0**x),
+    eta=st.floats(0.0, 5.0),
+    T=st.just(0.0) | st.floats(-3.0, 2.0).map(lambda x: 10.0**x),
+)
+@example(J=4.587, gamma=1.03e-8, eta=0.919, T=0.238)
+def test_concurrence_matches_the_closed_form_down_to_tiny_anisotropy(J, gamma, eta, T):
+    _assert_concurrences_match_the_closed_form(J, gamma, eta, T)
+
+
 _YY_MP = ((0, 0, 0, -1), (0, 0, 1, 0), (0, 1, 0, 0), (-1, 0, 0, 0))
 
 
