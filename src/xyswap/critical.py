@@ -7,30 +7,29 @@ root in temperature of a signed margin:
   kind 2: pair fully entangled fraction,              FEF - 1/2 = 0
   kind 3: average teleport fidelity at mu = pi/4,   Phi - 2/3 = 0
 
-Each margin is positive below its critical temperature and negative above
-it, so a descending scan from a ceiling finds the largest root; that
-bracket is then bisected.  Each margin depends on T / J alone, so the
-solver works in units of J: J only converts an explicit ceiling and the
-temperatures that the warnings print.  All etas of a sweep are solved on
-one array path of numpy passes of bounded size: each eta's scan is one
-row of at most 102 temperatures from its ceiling, in steps of 0.05 up to
-a ceiling of 5 and of a hundredth of the ceiling above; the rows are
-split into the fewest passes of at most 17 whole rows, of sizes within
-one row of each other, small enough that freeing a pass's temporaries
-does not trim the heap, and the crossing rules run along the rows; then
-the bisection steps all brackets in lockstep, in chunks of up to 256
-open brackets, each on one lane layout until all of them close.  The
-passes run the numpy kernels of `pair_metrics` and `fidelity_closed_form`
-on arrays, so every sign is the one those public closed forms give.  For
-gamma > 0 the thresholds grow roughly linearly in eta, and the scan ceiling
-follows the large-eta asymptote so the root never escapes the scanned
-window; the bounded row keeps the solve's cost bounded however large the
-field or the ceiling.
+Each margin is positive below its critical temperature and negative
+above it, so a descending scan from a ceiling finds the largest root;
+that bracket is then bisected.  Each margin depends on T / J alone, so
+the solver works in units of J: J only converts the temperatures that
+the warnings print.  All etas of a sweep are solved on one array path of
+numpy passes of bounded size: each eta's scan is one row of at most 102
+temperatures from its kind's ceiling, at least 5, in steps of a
+hundredth of that ceiling; the rows are split into the fewest passes of
+at most 17 whole rows, of sizes within one row of each other, small
+enough that freeing a pass's temporaries does not trim the heap, and the
+crossing rules run along the rows; then the bisection steps all brackets
+in lockstep, in chunks of up to 256 open brackets, each on one lane
+layout until all of them close.  The passes run the numpy kernels of
+`pair_metrics` and `fidelity_closed_form` on arrays, so every sign is
+the one those public closed forms give.  For gamma > 0 the thresholds
+grow roughly linearly in eta, and the scan ceiling follows the large-eta
+asymptote so the root never escapes the scanned window; the bounded row
+keeps the solve's cost bounded however large the field.  The point
+solvers are one-eta sweeps.
 """
 
 import functools
 import math
-import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -53,8 +52,7 @@ __all__ = [
 ]
 
 _T_FLOOR_OVER_J = 1e-6
-_SCAN_STEP_OVER_J = 0.05  # the scan step up to a ceiling of 5
-_SCAN_STEPS = 100  # steps from a ceiling above 5 down to 0
+_SCAN_STEPS = 100  # steps from a ceiling down to 0
 _BRACKET_WIDTH_OVER_J = 1e-8
 # most eta scans per scan pass, ~1.7k lanes (the fig1 grid's 81 rows in 5
 # passes, of sizes that differ by one row at most): with 20 to 41 rows, freeing
@@ -87,27 +85,27 @@ def _check_domain(gamma, eta, j):
         raise ValueError(f"J must be positive, got {j!r}")
 
 
-def t2_asymptote(gamma, eta, J=1.0):
-    """Large-eta slope line for the FEF threshold, eta J / ln(2 eta / gamma)."""
+def _slope_line(gamma, eta, J, power, domain):
+    """eta J / (power ln(eta / gamma) + ln 2), or a ValueError that the
+    denominator is not positive, which says `domain`."""
     _check_domain(gamma, eta, J)
     if gamma == 0.0:
         raise ValueError("asymptote requires gamma > 0")
-    den = math.log(eta) - math.log(gamma) + math.log(2.0) if eta > 0.0 else 0.0
+    den = power * (math.log(eta) - math.log(gamma)) + math.log(2.0) if eta > 0.0 else 0.0
     if den <= 0.0:
-        raise ValueError("asymptote requires 2 eta > gamma")
+        raise ValueError(f"asymptote requires {domain}")
     return eta * J / den
+
+
+def t2_asymptote(gamma, eta, J=1.0):
+    """Large-eta slope line for the FEF threshold, eta J / ln(2 eta / gamma)."""
+    return _slope_line(gamma, eta, J, 1.0, "2 eta > gamma")
 
 
 def t3_asymptote(gamma, eta, J=1.0):
     """Large-eta slope line for the fidelity threshold,
     eta J / (3 ln(eta / gamma) + ln 2)."""
-    _check_domain(gamma, eta, J)
-    if gamma == 0.0:
-        raise ValueError("asymptote requires gamma > 0")
-    den = 3.0 * (math.log(eta) - math.log(gamma)) + math.log(2.0) if eta > 0.0 else 0.0
-    if den <= 0.0:
-        raise ValueError("asymptote requires 2 eta**3 > gamma**3")
-    return eta * J / den
+    return _slope_line(gamma, eta, J, 3.0, "2 eta**3 > gamma**3")
 
 
 def _margin(kind, e, r):
@@ -155,29 +153,28 @@ class _Sweep:
         return _scan_margins(self.kind, self.b[rows], self.r[rows], t)
 
 
-def _scan(sweep, t_his):
-    """Scan every eta down from its ceiling in `t_his` and return, per eta,
+def _scan(sweep, ceilings):
+    """Scan every eta down from its ceiling in `ceilings` and return, per eta,
     its margin at the ceiling, its crossings below and, unless that margin
     is positive (no root, no bisection), its first upward bracket (T,
     previous T) as lo and hi, NaN where there is none.
-    An eta's scan is one row: its ceiling, then T - s, T - 2 s, ...
+    An eta's scan is one row: its ceiling T, then T - s, T - 2 s, ...
     (repeated subtraction), the first point at or below the floor clamped
     to it and the rest of the row padded with the floor, which adds no
-    crossing.  The step s is 0.05 up to a ceiling of 5 and t_hi /
-    _SCAN_STEPS above it, so a row of _SCAN_STEPS + 2 points always
-    reaches the floor.  The rows are split into the fewest passes of at
+    crossing.  The step s is T / _SCAN_STEPS, so a row of _SCAN_STEPS
+    + 2 points always reaches the floor; at the lowest default ceiling,
+    5, s is 0.05.  The rows are split into the fewest passes of at
     most _SCAN_ROWS whole rows, sizes that differ by one row at most and
     keep glibc from trimming the heap after every pass."""
-    n = t_his.size
+    n = ceilings.size
     f_hi, crossings = np.empty(n), np.empty(n, dtype=np.intp)
     lo, hi = np.full(n, math.nan), np.full(n, math.nan)
     passes = -(-n // _SCAN_ROWS)
     for k in range(passes):
         part = np.arange(k * n // passes, (k + 1) * n // passes)
-        ceilings = t_his[part]
-        steps = np.where(ceilings > 5.0, ceilings / _SCAN_STEPS, _SCAN_STEP_OVER_J)
+        top = ceilings[part]
         acc = np.empty((part.size, _SCAN_STEPS + 2))
-        acc[:, 0], acc[:, 1:] = ceilings, steps[:, None]
+        acc[:, 0], acc[:, 1:] = top, (top / _SCAN_STEPS)[:, None]
         t = np.maximum(np.subtract.accumulate(acc, axis=1), _T_FLOOR_OVER_J)
         values = sweep.margins(part[:, None], t)
         signs = np.sign(values)
@@ -279,7 +276,7 @@ def _passes(sweep, held, lo, hi, width):
             return lo, hi
 
 
-def _solve(kind, gamma, etas, t_his, j):
+def _solve(kind, gamma, etas, ceilings, j):
     """Roots of one margin kind at each (eta, scan ceiling) pair, ceilings
     and roots in units of J, on one array path of numpy passes of bounded
     size (`_Sweep`), which keeps memory bounded and flat for any ceiling
@@ -298,11 +295,11 @@ def _solve(kind, gamma, etas, t_his, j):
     """
     sweep = _Sweep(kind, gamma, etas)
     with np.errstate(all="ignore"):
-        f_hi, crossings, lo, hi = _scan(sweep, np.array(t_his))
+        f_hi, crossings, lo, hi = _scan(sweep, np.array(ceilings))
         _bisect(sweep, lo, hi, _BRACKET_WIDTH_OVER_J)
     return [
         _root(kind, gamma, *args, j)
-        for args in zip(etas, t_his, f_hi.tolist(), crossings.tolist(), lo.tolist(), hi.tolist())
+        for args in zip(etas, ceilings, f_hi.tolist(), crossings.tolist(), lo.tolist(), hi.tolist())
     ]
 
 
@@ -315,14 +312,16 @@ def _warn(message, *args):
     logging.getLogger(__name__).warning(message, *args)
 
 
-def _root(kind, gamma, eta, t_hi, f_hi, crossings, lo, hi, j):
+def _root(kind, gamma, eta, ceiling, f_hi, crossings, lo, hi, j):
     """One eta's result from its scan and bisected bracket (lo, hi), NaN
     where there is none, with the T = 0 fallback and the warnings, which
-    print absolute temperatures (times j)."""
+    print absolute temperatures (times j).  No default ceiling is known to
+    leave the margin positive: that branch guards explicit `_solve`
+    ceilings."""
     if f_hi > 0.0:
         _warn(
             "kind %d margin still positive at scan ceiling T = %.6g (gamma=%g, eta=%g)",
-            kind, t_hi * j, gamma, eta,
+            kind, ceiling * j, gamma, eta,
         )
         return CriticalResult(kind, gamma, eta, math.nan, None, False)
 
@@ -345,45 +344,38 @@ def _root(kind, gamma, eta, t_hi, f_hi, crossings, lo, hi, j):
     return CriticalResult(kind, gamma, eta, 0.5 * (lo + hi), (lo, hi), True)
 
 
-def _ceiling(kind, gamma, eta, j, t_hi):
-    """Checked scan ceiling in units of J: the given one over J, kept in
-    [1e-6, the largest double], or the default for the kind."""
-    _check_domain(gamma, eta, j)
-    if t_hi is None:
-        return _default_t_hi(kind, gamma, eta)
-    if not (is_finite(t_hi) and t_hi >= _T_FLOOR_OVER_J * j):
-        raise ValueError(f"t_hi must be finite and at least {_T_FLOOR_OVER_J:g} J, got {t_hi!r}")
-    return min(max(t_hi / j, _T_FLOOR_OVER_J), sys.float_info.max)
-
-
-def _critical(kind, gamma, eta, j, t_hi):
-    return _solve(kind, gamma, [eta], [_ceiling(kind, gamma, eta, j, t_hi)], j)[0]
-
-
-def t1_critical(gamma, eta, J=1.0, *, t_hi=None):
+def t1_critical(gamma, eta, J=1.0):
     """Temperature where the pair concurrence vanishes."""
-    return _critical(1, gamma, eta, J, t_hi)
+    return _at_default_ceilings(1, gamma, [eta], J)[0]
 
 
-def t2_critical(gamma, eta, J=1.0, *, t_hi=None):
+def t2_critical(gamma, eta, J=1.0):
     """Temperature where the pair FEF drops to 1/2."""
-    return _critical(2, gamma, eta, J, t_hi)
+    return _at_default_ceilings(2, gamma, [eta], J)[0]
 
 
-def t3_critical(gamma, eta, J=1.0, *, t_hi=None):
+def t3_critical(gamma, eta, J=1.0):
     """Temperature where the swapped-channel fidelity at mu = pi/4 drops
     to the classical 2/3."""
-    return _critical(3, gamma, eta, J, t_hi)
+    return _at_default_ceilings(3, gamma, [eta], J)[0]
 
 
 def sweep(kind, gamma, eta_grid, J=1.0):
     """All critical temperatures of one kind along a grid of eta values."""
     if isinstance(kind, bool) or not isinstance(kind, (int, np.integer)) or kind not in (1, 2, 3):
         raise ValueError(f"kind must be 1, 2 or 3, got {kind!r}")
-    _check_domain(gamma, 0.0, J)  # gamma and J once, whatever the grid
+    return _at_default_ceilings(int(kind), gamma, eta_grid, J)
+
+
+def _at_default_ceilings(kind, gamma, eta_grid, j):
+    """`sweep` of a valid kind, each eta scanned from its kind's own
+    ceiling (`_default_t_hi`).  The point solvers call it under this name,
+    not `sweep`, so the perfbench tracer, which wraps `sweep`, times a
+    point solve as one span and counts its root once."""
+    _check_domain(gamma, 0.0, j)  # gamma and J once, whatever the grid
     etas = list(eta_grid)
     for eta in etas:
         if not (is_finite(eta) and eta >= 0.0):
-            _check_domain(gamma, eta, J)  # raises the eta's error
+            _check_domain(gamma, eta, j)  # raises the eta's error
     etas = [float(eta) for eta in etas]
-    return _solve(int(kind), gamma, etas, [_default_t_hi(kind, gamma, eta) for eta in etas], J)
+    return _solve(kind, gamma, etas, [_default_t_hi(kind, gamma, eta) for eta in etas], j)

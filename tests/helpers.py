@@ -5,7 +5,6 @@ closed forms with the point-by-point critical-temperature solver on them
 that the array scan is checked against."""
 
 import math
-import sys
 
 import numpy as np
 
@@ -155,21 +154,17 @@ def public_margins(kind, gamma, eta, t):
     return c1 + 0.5 * c2 - 2.0 / 3.0
 
 
-def reference_critical(kind, gamma, eta, J=1.0, t_hi=None, step=None, on_arrays=False):
+def reference_critical(kind, gamma, eta, J=1.0, ceiling=None):
     """The critical-temperature solver with its descending scan evaluated
     one scalar closed form per temperature, in units of J: the margins
-    depend on T / J alone, so they are taken at J = 1.  The scan steps
-    0.05 down from a ceiling of at most 5, and a hundredth of the ceiling
-    from a higher one, unless `step` is given, by repeated subtraction
-    down to the 1e-6 J floor.  With `on_arrays` the scan below the ceiling
-    is one `public_margins` call on that grid.  Returns (result, messages),
+    depend on T / J alone, so they are taken at J = 1.  The scan starts
+    at `ceiling`, in units of J as `critical._solve` takes it, or at the
+    kind's default ceiling, and steps a hundredth of it by repeated
+    subtraction down to the 1e-6 J floor.  Returns (result, messages),
     with the warnings it would log as formatted strings, their
     temperatures absolute."""
     critical._check_domain(gamma, eta, J)
-    if t_hi is None:
-        t_hi = critical._default_t_hi(kind, gamma, eta)
-    else:
-        t_hi = min(max(t_hi / J, critical._T_FLOOR_OVER_J), sys.float_info.max)
+    t_hi = critical._default_t_hi(kind, gamma, eta) if ceiling is None else ceiling
     messages = []
 
     def f(t):
@@ -179,8 +174,7 @@ def reference_critical(kind, gamma, eta, J=1.0, t_hi=None, step=None, on_arrays=
         return critical.CriticalResult(kind, gamma, eta, t_over_j, bracket, converged), messages
 
     floor = critical._T_FLOOR_OVER_J
-    if step is None:
-        step = critical._SCAN_STEP_OVER_J if t_hi <= 5.0 else t_hi / 100
+    step = t_hi / 100
     f_hi = f(t_hi)
     if f_hi > 0.0:
         messages.append(
@@ -192,11 +186,7 @@ def reference_critical(kind, gamma, eta, J=1.0, t_hi=None, step=None, on_arrays=
     # t_hi, then t_hi - step - step - ... while above the floor, then the floor
     below = np.subtract.accumulate(np.r_[t_hi, np.full(int(t_hi / step) + 1, step)])[1:]
     grid = np.r_[t_hi, below[below > floor], floor]
-    if on_arrays:
-        margins = public_margins(kind, gamma, eta, grid[1:])
-        assert not np.isnan(margins).any()
-    else:
-        margins = np.array([f(t) for t in grid[1:].tolist()])
+    margins = np.array([f(t) for t in grid[1:].tolist()])
     prev, cur = np.r_[f_hi, margins[:-1]], margins
     upward = (prev <= 0.0) & (0.0 < cur)
     crossings = np.count_nonzero(upward | ((prev >= 0.0) & (0.0 > cur)))

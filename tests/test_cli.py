@@ -205,7 +205,7 @@ def test_couplings_at_the_ends_of_the_double_range(capsys, caplog, command, extr
 
 
 def test_critical_nonconvergence_exit_code(capsys, monkeypatch):
-    def fake(gamma, eta, J=1.0, *, t_hi=None):
+    def fake(gamma, eta, J=1.0):
         return CriticalResult(3, gamma, eta, math.nan, None, False)
 
     monkeypatch.setattr("xyswap.cli.t3_critical", fake)
