@@ -9,8 +9,9 @@ single row prints as one object), writes the text to stdout or `--out`,
 and picks the exit code.  Only `table1` reads the format, since its CSV
 layout is wide and its JSON layout long.
 
-Exit codes: 0 success, 1 usage or domain error or an --out path that
-cannot be written, 2 numerical non-convergence.  Identical invocations produce byte-identical output.
+Exit codes: 0 success, 1 usage or domain error, an --out path that
+cannot be written or a request too large for memory, 2 numerical
+non-convergence.  Identical invocations produce byte-identical output.
 """
 
 import argparse
@@ -150,7 +151,7 @@ def _cmd_fidelity(args):
 
 def _cmd_critical(args):
     solver = {1: t1_critical, 2: t2_critical, 3: t3_critical}[args.kind]
-    r = solver(args.gamma, args.eta, args.J)
+    r = solver(args.gamma, args.eta)
     schema = [
         ("kind", "int"), ("gamma", "param"), ("eta", "param"),
         ("t_over_j", "value"), ("converged", "flag"),
@@ -190,12 +191,11 @@ def _cmd_fig1(args):
     return rows, schema, all(r.converged for r in roots)
 
 
-def _chain_flags(sub, with_t=True):
+def _chain_flags(sub):
     sub.add_argument("--J", type=float, default=1.0)
     sub.add_argument("--gamma", type=float, default=0.0)
     sub.add_argument("--eta", type=float, default=0.0)
-    if with_t:
-        sub.add_argument("--T", type=float, required=True)
+    sub.add_argument("--T", type=float, required=True)
 
 
 def _fidelity_flags(sub):
@@ -203,9 +203,10 @@ def _fidelity_flags(sub):
     sub.add_argument("--mu", type=float, default=math.pi / 4.0)
 
 
-def _critical_flags(sub):
+def _critical_flags(sub):  # no --J: the thresholds are temperatures in units of J
     sub.add_argument("--kind", type=int, choices=(1, 2, 3), required=True)
-    _chain_flags(sub, with_t=False)
+    sub.add_argument("--gamma", type=float, default=0.0)
+    sub.add_argument("--eta", type=float, default=0.0)
 
 
 def _fig1_flags(sub):
@@ -272,8 +273,8 @@ def run(argv=None):
         else:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
-    except (ValueError, OSError) as exc:  # a domain error, or an --out path that cannot be written
-        sys.stderr.write(f"xyswap: error: {exc}\n")
+    except (ValueError, OSError, MemoryError) as exc:  # bad domain, unwritable --out, request too big
+        sys.stderr.write(f"xyswap: error: {str(exc) or type(exc).__name__}\n")
         return 1
     return 0 if converged else 2
 

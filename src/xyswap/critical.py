@@ -9,23 +9,25 @@ root in temperature of a signed margin:
 
 Each margin is positive below its critical temperature and negative
 above it, so a descending scan from a ceiling finds the largest root;
-that bracket is then bisected.  Each margin depends on T / J alone, so
-the solver works in units of J: J only converts the temperatures that
-the warnings print.  All etas of a sweep are solved on one array path of
-numpy passes of bounded size: each eta's scan is one row of at most 102
-temperatures from its kind's ceiling, at least 5, in steps of a
-hundredth of that ceiling; the rows are split into the fewest passes of
-at most 17 whole rows, of sizes within one row of each other, small
-enough that freeing a pass's temporaries does not trim the heap, and the
-crossing rules run along the rows; then the bisection steps all brackets
-in lockstep, in chunks of up to 256 open brackets, each on one lane
-layout until all of them close.  The passes run the numpy kernels of
-`pair_metrics` and `fidelity_closed_form` on arrays, so every sign is
-the one those public closed forms give.  For gamma > 0 the thresholds
-grow roughly linearly in eta, and the scan ceiling follows the large-eta
-asymptote so the root never escapes the scanned window; the bounded row
-keeps the solve's cost bounded however large the field.  The point
-solvers are one-eta sweeps.
+that bracket is then bisected.  The pair Hamiltonian is J times a
+function of (gamma, eta), so each margin depends on T / J alone: every
+temperature here, ceiling, root, bracket, asymptote or warning, is in
+units of J, and no function takes J.  Multiply `t_over_j` or an
+asymptote by J for an absolute temperature.  All etas of a sweep are
+solved on one array path of numpy passes of bounded size: each eta's
+scan is one row of at most 102 temperatures from its kind's ceiling, at
+least 5, in steps of a hundredth of that ceiling; the rows are split
+into the fewest passes of at most 17 whole rows, of sizes within one row
+of each other, small enough that freeing a pass's temporaries does not
+trim the heap, and the crossing rules run along the rows; then the
+bisection steps all brackets in lockstep, in chunks of up to 256 open
+brackets, each on one lane layout until all of them close.  The passes
+run the numpy kernels of `pair_metrics` and `fidelity_closed_form` on
+arrays, so every sign is the one those public closed forms give.  For
+gamma > 0 the thresholds grow roughly linearly in eta, and the scan
+ceiling follows the large-eta asymptote so the root never escapes the
+scanned window; the bounded row keeps the solve's cost bounded however
+large the field.  The point solvers are one-eta sweeps.
 """
 
 import functools
@@ -73,39 +75,44 @@ class CriticalResult(NamedTuple):
     converged: bool
 
 
-def _check_domain(gamma, eta, j):
-    for name, value in (("gamma", gamma), ("eta", eta), ("J", j)):
+def _check_domain(gamma, eta):
+    for name, value in (("gamma", gamma), ("eta", eta)):
         if not is_finite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma!r}")
     if eta < 0.0:
         raise ValueError(f"eta must be nonnegative, got {eta!r}")
-    if j <= 0.0:
-        raise ValueError(f"J must be positive, got {j!r}")
 
 
-def _slope_line(gamma, eta, J, power, domain):
-    """eta J / (power ln(eta / gamma) + ln 2), or a ValueError that the
-    denominator is not positive, which says `domain`."""
-    _check_domain(gamma, eta, J)
+def _slope_line(gamma, eta, power):
+    """eta / (power ln(eta / gamma) + ln 2) in units of J at gamma > 0 and
+    eta >= 0, unchecked; NaN where the denominator is not positive."""
+    den = power * (math.log(eta) - math.log(gamma)) + math.log(2.0) if eta > 0.0 else 0.0
+    return eta / den if den > 0.0 else math.nan
+
+
+def _asymptote(gamma, eta, power, domain):
+    """`_slope_line` on a checked domain; a ValueError where gamma = 0 or `domain` fails."""
+    _check_domain(gamma, eta)
     if gamma == 0.0:
         raise ValueError("asymptote requires gamma > 0")
-    den = power * (math.log(eta) - math.log(gamma)) + math.log(2.0) if eta > 0.0 else 0.0
-    if den <= 0.0:
+    line = _slope_line(gamma, eta, power)
+    if math.isnan(line):
         raise ValueError(f"asymptote requires {domain}")
-    return eta * J / den
+    return line
 
 
-def t2_asymptote(gamma, eta, J=1.0):
-    """Large-eta slope line for the FEF threshold, eta J / ln(2 eta / gamma)."""
-    return _slope_line(gamma, eta, J, 1.0, "2 eta > gamma")
+def t2_asymptote(gamma, eta):
+    """Large-eta slope line for the FEF threshold in units of J,
+    eta / ln(2 eta / gamma)."""
+    return _asymptote(gamma, eta, 1.0, "2 eta > gamma")
 
 
-def t3_asymptote(gamma, eta, J=1.0):
-    """Large-eta slope line for the fidelity threshold,
-    eta J / (3 ln(eta / gamma) + ln 2)."""
-    return _slope_line(gamma, eta, J, 3.0, "2 eta**3 > gamma**3")
+def t3_asymptote(gamma, eta):
+    """Large-eta slope line for the fidelity threshold in units of J,
+    eta / (3 ln(eta / gamma) + ln 2)."""
+    return _asymptote(gamma, eta, 3.0, "2 eta**3 > gamma**3")
 
 
 def _margin(kind, e, r):
@@ -122,11 +129,10 @@ def _margin(kind, e, r):
 
 
 def _default_t_hi(kind, gamma, eta):
-    t_hi = 5.0
     if gamma > 0.0 and eta > 2.0:
-        asym = t3_asymptote(gamma, eta) if kind == 3 else t2_asymptote(gamma, eta)
-        t_hi = max(t_hi, 2.0 * asym)
-    return t_hi
+        # twice the asymptote: `t3_asymptote`'s line for kind 3, `t2_asymptote`'s otherwise
+        return max(5.0, 2.0 * _slope_line(gamma, eta, 3.0 if kind == 3 else 1.0))
+    return 5.0
 
 
 def _scan_margins(kind, b, r, t):
@@ -276,7 +282,7 @@ def _passes(sweep, held, lo, hi, width):
             return lo, hi
 
 
-def _solve(kind, gamma, etas, ceilings, j):
+def _solve(kind, gamma, etas, ceilings):
     """Roots of one margin kind at each (eta, scan ceiling) pair, ceilings
     and roots in units of J, on one array path of numpy passes of bounded
     size (`_Sweep`), which keeps memory bounded and flat for any ceiling
@@ -298,7 +304,7 @@ def _solve(kind, gamma, etas, ceilings, j):
         f_hi, crossings, lo, hi = _scan(sweep, np.array(ceilings))
         _bisect(sweep, lo, hi, _BRACKET_WIDTH_OVER_J)
     return [
-        _root(kind, gamma, *args, j)
+        _root(kind, gamma, *args)
         for args in zip(etas, ceilings, f_hi.tolist(), crossings.tolist(), lo.tolist(), hi.tolist())
     ]
 
@@ -312,70 +318,63 @@ def _warn(message, *args):
     logging.getLogger(__name__).warning(message, *args)
 
 
-def _root(kind, gamma, eta, ceiling, f_hi, crossings, lo, hi, j):
+def _root(kind, gamma, eta, ceiling, f_hi, crossings, lo, hi):
     """One eta's result from its scan and bisected bracket (lo, hi), NaN
-    where there is none, with the T = 0 fallback and the warnings, which
-    print absolute temperatures (times j).  No default ceiling is known to
-    leave the margin positive: that branch guards explicit `_solve`
-    ceilings."""
+    where there is none, with the T = 0 fallback and the warnings.  No
+    default ceiling is known to leave the margin positive: that branch
+    guards explicit `_solve` ceilings."""
     if f_hi > 0.0:
-        _warn(
-            "kind %d margin still positive at scan ceiling T = %.6g (gamma=%g, eta=%g)",
-            kind, ceiling * j, gamma, eta,
-        )
+        _warn("kind %d margin still positive at scan ceiling T = %.6g (gamma=%g, eta=%g)",
+              kind, ceiling, gamma, eta)
         return CriticalResult(kind, gamma, eta, math.nan, None, False)
 
     if math.isnan(lo):
         m0 = _margin(kind, *kernel_inputs(ChainParams(J=1.0, gamma=gamma, eta=eta, T=0.0)))
         if m0 <= 0.0:
             return CriticalResult(kind, gamma, eta, 0.0, (0.0, 0.0), True)
-        _warn(
-            "kind %d margin positive at T = 0 but no crossing found above %.1e (gamma=%g, eta=%g)",
-            kind, _T_FLOOR_OVER_J * j, gamma, eta,
-        )
+        _warn("kind %d margin positive at T = 0 but no crossing found above %.1e (gamma=%g, eta=%g)",
+              kind, _T_FLOOR_OVER_J, gamma, eta)
         return CriticalResult(kind, gamma, eta, math.nan, None, False)
 
     if crossings > 1:
-        _warn(
-            "kind %d margin crosses zero %d times (gamma=%g, eta=%g); keeping the largest root",
-            kind, crossings, gamma, eta,
-        )
+        _warn("kind %d margin crosses zero %d times (gamma=%g, eta=%g); keeping the largest root",
+              kind, crossings, gamma, eta)
 
     return CriticalResult(kind, gamma, eta, 0.5 * (lo + hi), (lo, hi), True)
 
 
-def t1_critical(gamma, eta, J=1.0):
-    """Temperature where the pair concurrence vanishes."""
-    return _at_default_ceilings(1, gamma, [eta], J)[0]
+def t1_critical(gamma, eta):
+    """Temperature, in units of J, where the pair concurrence vanishes."""
+    return _at_default_ceilings(1, gamma, [eta])[0]
 
 
-def t2_critical(gamma, eta, J=1.0):
-    """Temperature where the pair FEF drops to 1/2."""
-    return _at_default_ceilings(2, gamma, [eta], J)[0]
+def t2_critical(gamma, eta):
+    """Temperature, in units of J, where the pair FEF drops to 1/2."""
+    return _at_default_ceilings(2, gamma, [eta])[0]
 
 
-def t3_critical(gamma, eta, J=1.0):
-    """Temperature where the swapped-channel fidelity at mu = pi/4 drops
-    to the classical 2/3."""
-    return _at_default_ceilings(3, gamma, [eta], J)[0]
+def t3_critical(gamma, eta):
+    """Temperature, in units of J, where the swapped-channel fidelity at
+    mu = pi/4 drops to the classical 2/3."""
+    return _at_default_ceilings(3, gamma, [eta])[0]
 
 
-def sweep(kind, gamma, eta_grid, J=1.0):
-    """All critical temperatures of one kind along a grid of eta values."""
+def sweep(kind, gamma, eta_grid):
+    """All critical temperatures of one kind, in units of J, along an eta grid."""
     if isinstance(kind, bool) or not isinstance(kind, (int, np.integer)) or kind not in (1, 2, 3):
         raise ValueError(f"kind must be 1, 2 or 3, got {kind!r}")
-    return _at_default_ceilings(int(kind), gamma, eta_grid, J)
+    return _at_default_ceilings(int(kind), gamma, eta_grid)
 
 
-def _at_default_ceilings(kind, gamma, eta_grid, j):
+def _at_default_ceilings(kind, gamma, eta_grid):
     """`sweep` of a valid kind, each eta scanned from its kind's own
     ceiling (`_default_t_hi`).  The point solvers call it under this name,
     not `sweep`, so the perfbench tracer, which wraps `sweep`, times a
     point solve as one span and counts its root once."""
-    _check_domain(gamma, 0.0, j)  # gamma and J once, whatever the grid
+    _check_domain(gamma, 0.0)  # gamma once, whatever the grid
     etas = list(eta_grid)
     for eta in etas:
         if not (is_finite(eta) and eta >= 0.0):
-            _check_domain(gamma, eta, j)  # raises the eta's error
+            _check_domain(gamma, eta)  # raises the eta's error
     etas = [float(eta) for eta in etas]
-    return _solve(kind, gamma, etas, [_default_t_hi(kind, gamma, eta) for eta in etas], j)
+    return _solve(kind, gamma, etas, [_default_t_hi(kind, gamma, eta) for eta in etas])

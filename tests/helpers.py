@@ -154,16 +154,15 @@ def public_margins(kind, gamma, eta, t):
     return c1 + 0.5 * c2 - 2.0 / 3.0
 
 
-def reference_critical(kind, gamma, eta, J=1.0, ceiling=None):
+def reference_critical(kind, gamma, eta, ceiling=None):
     """The critical-temperature solver with its descending scan evaluated
     one scalar closed form per temperature, in units of J: the margins
     depend on T / J alone, so they are taken at J = 1.  The scan starts
     at `ceiling`, in units of J as `critical._solve` takes it, or at the
     kind's default ceiling, and steps a hundredth of it by repeated
     subtraction down to the 1e-6 J floor.  Returns (result, messages),
-    with the warnings it would log as formatted strings, their
-    temperatures absolute."""
-    critical._check_domain(gamma, eta, J)
+    with the warnings it would log as formatted strings."""
+    critical._check_domain(gamma, eta)
     t_hi = critical._default_t_hi(kind, gamma, eta) if ceiling is None else ceiling
     messages = []
 
@@ -179,7 +178,7 @@ def reference_critical(kind, gamma, eta, J=1.0, ceiling=None):
     if f_hi > 0.0:
         messages.append(
             "kind %d margin still positive at scan ceiling T = %.6g (gamma=%g, eta=%g)"
-            % (kind, t_hi * J, gamma, eta)
+            % (kind, t_hi, gamma, eta)
         )
         return result(math.nan, None, False)
 
@@ -200,7 +199,7 @@ def reference_critical(kind, gamma, eta, J=1.0, ceiling=None):
             return result(0.0, (0.0, 0.0), True)
         messages.append(
             "kind %d margin positive at T = 0 but no crossing found above %.1e (gamma=%g, eta=%g)"
-            % (kind, floor * J, gamma, eta)
+            % (kind, floor, gamma, eta)
         )
         return result(math.nan, None, False)
 

@@ -9,10 +9,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from xyswap.cli import emit_csv, emit_json, run
-from xyswap.critical import CriticalResult
+from xyswap.critical import CriticalResult, t3_critical
 from xyswap.teleport import TeleportConfig, fidelity_closed_form
 from xyswap.xychain import ChainParams, pair_metrics
 
@@ -181,16 +182,17 @@ def test_critical_command_at_a_huge_field(capsys):
 
 
 @pytest.mark.parametrize("command, extreme, unit", [
-    *[(["critical", "--kind", kind, "--gamma", "0.9", "--eta", "0.9"], ["--J", j], ["--J", "1"])
-      for kind in "123" for j in ("4e307", "1e-310")],
-    (["metrics", "--gamma", "0.5", "--eta", "10"], ["--J", "1e308", "--T", "1e308"], ["--J", "1", "--T", "1"]),
-    (["state", "--gamma", "0.5", "--eta", "10"], ["--J", "1e307", "--T", "1e307"], ["--J", "1", "--T", "1"]),
-    (["state", "--gamma", "0.5", "--eta", "10"], ["--J", "1e308", "--T", "1e308"], ["--J", "1", "--T", "1"]),
+    ([command, "--gamma", "0.5", "--eta", "10"], ["--J", j, "--T", j], ["--J", "1", "--T", "1"])
+    for command, j in (
+        ("metrics", "1e-310"), ("state", "1e-310"), ("swap", "1e308"), ("swap", "1e-310"),
+        ("fidelity", "1e308"), ("fidelity", "1e-310"), ("metrics", "1e308"), ("state", "1e307"),
+        ("state", "1e308"),
+    )
 ])
 def test_couplings_at_the_ends_of_the_double_range(capsys, caplog, command, extreme, unit):
     # every result depends on T / J alone: at the largest and the smallest
-    # couplings each command answers quietly what it answers at J = 1, the
-    # state included (it is formed in units of |J|)
+    # couplings each command that takes --J answers quietly what it answers
+    # at J = 1, the state and the swap included (formed in units of |J|)
     payloads = []
     for flags in (extreme, unit):
         with caplog.at_level(logging.WARNING):
@@ -198,14 +200,14 @@ def test_couplings_at_the_ends_of_the_double_range(capsys, caplog, command, extr
         assert (code, err, caplog.records) == (0, "", [])
         payloads.append(json.loads(out))
     got, want = payloads
-    if command[0] != "state":  # all but the echoed J and T
-        for payload in payloads:
-            payload.pop("J", None), payload.pop("T", None)
+    for payload in payloads:  # all but the J and T that one-row commands echo
+        if isinstance(payload, dict):
+            payload.pop("J"), payload.pop("T")
     assert got == want
 
 
 def test_critical_nonconvergence_exit_code(capsys, monkeypatch):
-    def fake(gamma, eta, J=1.0):
+    def fake(gamma, eta):
         return CriticalResult(3, gamma, eta, math.nan, None, False)
 
     monkeypatch.setattr("xyswap.cli.t3_critical", fake)
@@ -277,6 +279,15 @@ def test_readme_examples_match_stored_bytes(capsys, argv, stored):
     code, out, _ = _run(capsys, argv + ["--format", "csv"])
     assert code == 0
     assert out.encode() == (DATA / stored).read_bytes()
+
+
+def test_readme_library_block_runs():
+    # the README's Python example, run as written in a fresh interpreter
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library\n\n```python\n", 1)[1].split("```", 1)[0]
+    proc = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-1] == str(t3_critical(0.5, 0.4).t_over_j)
 
 
 def test_table_json_long_format(capsys):
@@ -377,6 +388,25 @@ def test_negative_values_in_exponent_form_are_values(capsys, flag, value):
     assert spaced[0] == 0 and spaced[2] == ""
 
 
+_NUMPY_OOM = "Unable to allocate 7.28 TiB for an array with shape (1000000000001,) and data type float64"
+
+
+# numpy's error names the request; Python's own has no message (`[None] * 2**62`)
+@pytest.mark.parametrize("error, message", [
+    (MemoryError(_NUMPY_OOM), _NUMPY_OOM),
+    (MemoryError(), "MemoryError"),
+], ids=["numpy", "bare"])
+def test_memory_errors_exit_one(capsys, monkeypatch, error, message):
+    # `fig1 --steps 1000000000000` asks numpy for 7.28 TiB; a stand-in
+    # raises the error, since a real allocation that size may succeed
+    # under overcommit and reach the OOM killer
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(np, "linspace", fail)
+    assert _run(capsys, ["fig1", "--steps", "1000000000000"]) == (1, "", f"xyswap: error: {message}\n")
+
+
 def test_domain_errors_exit_one_and_name_the_flag(capsys):
     code, out, err = _run(capsys, ["metrics", "--T", "1", "--gamma", "1.5"])
     assert code == 1
@@ -416,6 +446,10 @@ _NO_CROSSING_JSON = b"""{
 """
 
 
+_REENTRANT = ["critical", "--kind", "1", "--gamma", "0.3", "--eta", "2", "--format", "csv"]
+_REENTRANT_WARNING = b"kind 1 margin crosses zero 3 times (gamma=0.3, eta=2); keeping the largest root\n"
+
+
 @pytest.mark.parametrize("argv, code, stdout, stderr", [
     (["metrics", "--J", "1", "--gamma", "0.5", "--eta", "0.4", "--T", "0.8", "--format", "csv"], 0,
      (DATA / "readme_metrics.csv").read_bytes(), b""),
@@ -425,7 +459,13 @@ _NO_CROSSING_JSON = b"""{
     (["critical", "--kind", "2", "--gamma", "0.003", "--eta", "1"], 2, _NO_CROSSING_JSON,
      b"kind 2 margin positive at T = 0 but no crossing found above 1.0e-06 (gamma=0.003, eta=1)\n"),
     (["table1", "--precision", "99"], 1, b"", b"xyswap: error: --precision must lie in 0..17\n"),
-], ids=["metrics", "table1", "fig1", "fig1-out", "critical-exit-2", "precision-exit-1"])
+    (_REENTRANT, 0, (DATA / "critical_reentrant.csv").read_bytes(), _REENTRANT_WARNING),
+    # thresholds are in units of J: `critical` takes no --J
+    (_REENTRANT + ["--J", "2"], 1, b"",
+     b"usage: xyswap [-h] {state,metrics,swap,fidelity,critical,table1,fig1} ...\n"
+     b"xyswap: error: unrecognized arguments: --J 2\n"),
+], ids=["metrics", "table1", "fig1", "fig1-out", "critical-exit-2", "precision-exit-1", "critical-reentrant",
+        "critical-J-exit-1"])
 def test_module_invocation(tmp_path, argv, code, stdout, stderr):
     # a real `python -m xyswap` process, which ends through `main`'s flush
     # and hard exit: every byte written reaches the pipes and the --out file.

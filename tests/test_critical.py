@@ -131,17 +131,11 @@ def test_roots_verify_their_margin():
             assert abs(margin(ChainParams(1.0, 0.4, 0.6, result.t_over_j))) < 1e-6
 
 
-def test_roots_scale_with_coupling():
-    a = t3_critical(0.5, 0.5, J=1.0)
-    b = t3_critical(0.5, 0.5, J=2.5)
-    assert repr(b) == repr(a)
-
-
 def test_custom_ceiling_can_miss_the_root(caplog):
     # a guard that no default ceiling is known to reach: the solve from an
     # explicit ceiling below the root, where the margin is still positive
     with caplog.at_level(logging.WARNING, logger="xyswap.critical"):
-        [result] = critical._solve(1, 0.0, [0.0], [0.5], 1.0)
+        [result] = critical._solve(1, 0.0, [0.0], [0.5])
     assert not result.converged
     assert math.isnan(result.t_over_j)
     assert result.bracket is None
@@ -231,16 +225,15 @@ def test_sweep_rejects_bad_kind():
     assert results == sweep(2, 0.5, [0.5])
 
 
-@pytest.mark.parametrize("gamma, j, message", [
-    (5.0, 1.0, r"gamma must lie in \[0, 1\], got 5.0"),
-    (math.nan, -1.0, "gamma must be finite, got nan"),
-    (0.5, -1.0, "J must be positive, got -1.0"),
+@pytest.mark.parametrize("gamma, message", [
+    (5.0, r"gamma must lie in \[0, 1\], got 5.0"),
+    (math.nan, "gamma must be finite, got nan"),
 ])
-def test_sweep_checks_gamma_and_j_for_any_grid(gamma, j, message):
+def test_sweep_checks_gamma_for_any_grid(gamma, message):
     # the empty grid raises what a one-eta grid raises
     for grid in ([], [0.5]):
         with pytest.raises(ValueError, match=message):
-            sweep(3, gamma, grid, J=j)
+            sweep(3, gamma, grid)
 
 
 def test_domain_validation():
@@ -251,10 +244,6 @@ def test_domain_validation():
     with pytest.raises(ValueError):
         t1_critical(0.5, -0.2)
     with pytest.raises(ValueError):
-        t1_critical(0.5, 0.0, J=0.0)
-    with pytest.raises(ValueError):
-        t1_critical(0.5, 0.0, J=-1.0)
-    with pytest.raises(ValueError):
         t1_critical(math.nan, 0.0)
 
 
@@ -263,11 +252,10 @@ _HUGE = 10**400  # an int too large for a float
 
 @pytest.mark.parametrize("call", [
     lambda: t1_critical(0.5, _HUGE),
-    lambda: t3_critical(0.5, 1.0, _HUGE),
     lambda: t2_asymptote(0.5, _HUGE),
     lambda: sweep(1, 0.5, [_HUGE]),
     lambda: ChainParams(J=_HUGE, gamma=0.0, eta=0.0, T=1.0),
-], ids=["eta", "J", "asymptote", "sweep_eta", "chain_params"])
+], ids=["eta", "asymptote", "sweep_eta", "chain_params"])
 def test_ints_too_large_for_a_float_are_not_finite(call):
     with pytest.raises(ValueError, match="must be finite"):
         call()
@@ -288,6 +276,8 @@ def _mixed_etas(eta_max):
     return [float(eta) for eta in np.random.default_rng(30).permutation(_FIG1_ETAS + list(tail))]
 
 
+# (kind, gamma, etas, J): every root is in units of J, and J is the coupling
+# at which the test reads each root's bracket back as absolute temperatures
 _SWEEPS = (
     # the table1 grid
     [(kind, 0.0, [round(0.1 * i, 1) for i in range(10)], 1.0) for kind in (2, 3)]
@@ -321,13 +311,20 @@ def _assert_same_roots(got, messages, want):
 @pytest.mark.parametrize("kind, gamma, etas, j", _SWEEPS)
 def test_sweep_matches_reference_solver(caplog, kind, gamma, etas, j):
     with caplog.at_level(logging.WARNING, logger="xyswap.critical"):
-        got = sweep(kind, gamma, etas, J=j)
-    want = [reference_critical(kind, gamma, float(eta), J=j) for eta in etas]
+        got = sweep(kind, gamma, etas)
+    want = [reference_critical(kind, gamma, float(eta)) for eta in etas]
     _assert_same_roots(got, [r.getMessage() for r in caplog.records], want)
+    # a root times J is an absolute temperature: the public closed forms of
+    # a pair at coupling J change sign across the bracket times J
+    for r in got:
+        if r.bracket is not None and r.bracket[0] < r.bracket[1]:
+            lo, hi = (ChainParams(J=j, gamma=gamma, eta=r.eta, T=t * j) for t in r.bracket)
+            assert public_margin(kind, lo) > 0.0 >= public_margin(kind, hi)
 
 
-# the point solvers at their default ceilings (None), and `critical._solve`
-# from an explicit ceiling T, handed to both solvers as T / J
+# the point solvers at their default ceilings (None), which J does not
+# enter, and `critical._solve` from an explicit ceiling T of a pair at
+# coupling J, handed to both solvers in units of J as T / J
 @pytest.mark.parametrize("kind, gamma, eta, j, ceiling", [
     (1, 0.3, 2.0, 1.0, None),  # re-entrant: three crossings
     (1, 0.0, 0.0, 1.0, 0.5),  # the ceiling leaves the margin positive
@@ -335,7 +332,7 @@ def test_sweep_matches_reference_solver(caplog, kind, gamma, etas, j):
     (3, 0.5, 0.4, 2.0, 7.3),
     (2, 0.6, 0.8, 0.37, None),  # T = 0 fallback on the degenerate boundary
     (1, 0.5, 1e305, 1.0, 1.0),  # B / T overflows below the ceiling
-    # B = hypot(eta, gamma) J overflows, B / J does not
+    # the field B = hypot(eta, gamma) J overflows, B / J and T / J do not
     (1, 0.5, 1e10, 1e300, 1e301),
     (3, 0.5, 1e10, 1e300, 1e301),
     (3, 0.2, 0.7, 1.0, 500.0),  # steps of 5 J
@@ -350,10 +347,10 @@ def test_point_solvers_match_reference_solver(caplog, kind, gamma, eta, j, ceili
     solver = {1: t1_critical, 2: t2_critical, 3: t3_critical}[kind]
     with caplog.at_level(logging.WARNING, logger="xyswap.critical"):
         if ceiling is None:
-            got = solver(gamma, eta, J=j)
+            got = solver(gamma, eta)
         else:
-            [got] = critical._solve(kind, gamma, [eta], [ceiling / j], j)
-    want = reference_critical(kind, gamma, eta, J=j, ceiling=None if ceiling is None else ceiling / j)
+            [got] = critical._solve(kind, gamma, [eta], [ceiling / j])
+    want = reference_critical(kind, gamma, eta, ceiling=None if ceiling is None else ceiling / j)
     _assert_same_roots([got], [r.getMessage() for r in caplog.records], [want])
 
 
@@ -374,18 +371,17 @@ def _logged(solve):
 @given(
     kind=st.sampled_from([1, 2, 3]),
     gamma=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.003, 0.3, 0.6, 1.0])),
-    j=st.sampled_from([0.37, 1.0, 2.0]),
     etas=st.lists(st.one_of(st.sampled_from(_FIG1_ETAS), st.floats(2.0, 200.0)), max_size=16).flatmap(
         # eta = 1.0 lies below the floor at gamma = 0.003; 0.8 at gamma = 0.6
         # and 1.2 at gamma = 0 (kind 2) take the T = 0 fallback
         lambda etas: st.permutations(etas + [1.0, 0.8, 1.2])
     ),
 )
-def test_random_sweeps_match_reference_solver(kind, gamma, j, etas):
+def test_random_sweeps_match_reference_solver(kind, gamma, etas):
     # fig1-grid etas share the 5 J ceiling, tail etas each have their own,
     # so the scans and the lockstep bisection mix within one sweep
-    got, messages = _logged(lambda: sweep(kind, gamma, etas, J=j))
-    _assert_same_roots(got, messages, [reference_critical(kind, gamma, float(eta), J=j) for eta in etas])
+    got, messages = _logged(lambda: sweep(kind, gamma, etas))
+    _assert_same_roots(got, messages, [reference_critical(kind, gamma, float(eta)) for eta in etas])
 
 
 def _margin_passes(monkeypatch):
@@ -465,7 +461,7 @@ def test_positive_ceiling_ends_the_scan_after_its_first_pass(monkeypatch):
     # bracket is bisected and no closed form is called for it
     evals = _counted_closed_forms(monkeypatch)
     passes = _margin_passes(monkeypatch)
-    got, messages = _logged(lambda: critical._solve(1, 0.5, [1e305], [5e4], 1.0))
+    got, messages = _logged(lambda: critical._solve(1, 0.5, [1e305], [5e4]))
     assert len(evals) == 0
     assert len(passes) == 1
     _assert_same_roots(got, messages, [reference_critical(1, 0.5, 1e305, ceiling=5e4)])
@@ -563,7 +559,7 @@ def test_scan_memory_stays_bounded_for_a_high_ceiling():
     # of 500 J, where steps of 0.05 J took 10^6 points
     tracemalloc.start()
     try:
-        [result] = critical._solve(3, 0.5, [0.4], [5e4], 1.0)
+        [result] = critical._solve(3, 0.5, [0.4], [5e4])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
